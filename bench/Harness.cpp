@@ -102,18 +102,6 @@ BenchConfig BenchConfig::fromEnv() {
   if (const char *E = std::getenv("MODSCHED_BENCH_CACHE"))
     if (parseEnvInt("MODSCHED_BENCH_CACHE", E, 0, 1, V))
       Config.Cache = V != 0;
-  if (const char *E = std::getenv("MODSCHED_BENCH_ENGINE")) {
-    if (std::strcmp(E, "dense") == 0)
-      Config.Engine = lp::SimplexEngine::Dense;
-    else if (std::strcmp(E, "sparse") == 0 ||
-             std::strcmp(E, "sparse_revised") == 0)
-      Config.Engine = lp::SimplexEngine::SparseRevised;
-    else
-      std::fprintf(stderr,
-                   "warning: ignoring MODSCHED_BENCH_ENGINE='%s' "
-                   "(expected dense|sparse); keeping %s\n",
-                   E, lp::toString(Config.Engine));
-  }
   if (const char *E = std::getenv("MODSCHED_BENCH_BACKEND")) {
     if (std::strcmp(E, "ilp") == 0)
       Config.Backend = SchedulerBackend::Ilp;
@@ -198,7 +186,6 @@ bench::runOptimal(const MachineModel &M,
   Opts.TimeLimitSeconds = Config.TimeLimitSeconds;
   Opts.NodeLimit = Config.NodeLimit;
   Opts.WarmStart = Config.WarmStart;
-  Opts.LpEngine = Config.Engine;
   Opts.Backend = Config.Backend;
   Opts.Explain = Config.Explain;
   Opts.Cache = Config.Cache;
@@ -415,13 +402,13 @@ void emitRecord(json::JsonWriter &W, const LoopRecord &R) {
     W.key("variables").value(A.Variables);
     W.key("constraints").value(A.Constraints);
     W.key("seconds").value(A.Seconds);
-    // Portfolio race outcome (schema v7): the engine whose verdict was
+    // Portfolio race outcome: the engine whose verdict was
     // committed ("ilp" / "pb"; empty on non-conclusive attempts and
     // under single-engine backends) and the cross-engine incumbent
     // exchanges the attempt performed.
     W.key("winner").value(A.Winner);
     W.key("bound_exchanges").value(A.BoundExchanges);
-    // Forensics (schema v6). Always emitted so consumers need no
+    // Forensics. Always emitted so consumers need no
     // key-existence branching; defaults mean "no evidence".
     W.key("witness").value(A.Explain ? witnessName(A.Explain->Kind)
                                      : witnessName(WitnessKind::None));
@@ -474,7 +461,7 @@ std::string BenchJson::write() const {
   std::string Out;
   json::JsonWriter W(Out);
   W.beginObject();
-  W.key("schema_version").value(9);
+  W.key("schema_version").value(10);
   W.key("experiment").value(Experiment);
   W.key("generated_unix")
       .value(static_cast<int64_t>(std::time(nullptr)));
@@ -486,12 +473,11 @@ std::string BenchJson::write() const {
   W.key("large_cap").value(Cfg.LargeCap);
   W.key("warm_start").value(Cfg.WarmStart);
   W.key("jobs").value(Cfg.Jobs);
-  W.key("engine").value(lp::toString(Cfg.Engine));
   W.key("backend").value(toString(Cfg.Backend));
   W.key("explain").value(Cfg.Explain);
   W.key("cache").value(Cfg.Cache);
   W.endObject();
-  // Solution-cache counter snapshot (schema v8): process-lifetime
+  // Solution-cache counter snapshot: process-lifetime
   // ilpsched/cache.* telemetry at write time. All zero in cache-off
   // runs; a second identical sweep in one process shows the hits.
   W.key("cache_counters").beginObject();
@@ -501,7 +487,7 @@ std::string BenchJson::write() const {
     W.key(Name).value(C ? C->value() : int64_t(0));
   }
   W.endObject();
-  // Service-bench replay summary (schema v9, optional): present only
+  // Service-bench replay summary (optional): present only
   // when the experiment drove the scheduling service (bench/
   // service_bench). Status keys are the protocol's closed status set;
   // the validator rejects anything else.

@@ -18,9 +18,6 @@
 ///   MODSCHED_BENCH_SEED       suite seed (default 20260705)
 ///   MODSCHED_BENCH_WARMSTART  0 disables warm-started node LPs (default 1;
 ///                             the knob behind warm-vs-cold A/B runs)
-///   MODSCHED_BENCH_ENGINE     LP engine for every node LP: "sparse" (the
-///                             default, also "sparse_revised") or "dense"
-///                             — the knob behind sparse-vs-dense A/B runs
 ///   MODSCHED_BENCH_BACKEND    exact engine behind every attempt: "ilp"
 ///                             (LP-based branch-and-bound), "pb" (CDCL
 ///                             pseudo-Boolean), or "portfolio" (both
@@ -83,10 +80,6 @@ struct BenchConfig {
   /// Warm-start node LPs from the parent basis (SchedulerOptions::
   /// WarmStart); MODSCHED_BENCH_WARMSTART=0 turns it off for A/B runs.
   bool WarmStart = true;
-  /// LP engine for every node LP (SchedulerOptions::LpEngine);
-  /// MODSCHED_BENCH_ENGINE=dense|sparse overrides for A/B runs. The
-  /// compiled-in default follows MODSCHED_LP_ENGINE (lp/Simplex.h).
-  lp::SimplexEngine Engine = lp::defaultSimplexEngine();
   /// Exact engine behind every attempt (SchedulerOptions::Backend):
   /// ILP branch-and-bound, the CDCL pseudo-Boolean solver, or the
   /// portfolio racing both with cross-engine bound sharing.
@@ -223,7 +216,7 @@ commonlySolved(const std::vector<std::vector<LoopRecord>> &RecordSets);
 /// Closed-loop service benchmark summary (bench/service_bench): QPS,
 /// latency percentiles, cache behavior and admission-control outcomes
 /// of one request-replay phase, emitted as the optional top-level
-/// "service" object of the artifact (schema v9). Status keys must come
+/// "service" object of the artifact. Status keys must come
 /// from the service protocol's closed status set ("ok", "timeout",
 /// "node_limit", "unsolved", "cancelled", "error", "retry_after") —
 /// scripts/check_bench_json.py rejects unknown strings.
@@ -248,32 +241,11 @@ struct ServiceSummary {
 /// produced, and call write() before exiting. The artifact is
 ///   <dir>/BENCH_<experiment>.json
 /// with <dir> = $MODSCHED_BENCH_RESULTS_DIR or "bench_results" (created
-/// if missing). The schema (schema_version 9: adds the optional
-/// top-level "service" object — requests / shed / errors / cache_hits,
-/// qps, p50_ms / p95_ms / p99_ms, cache_hit_rate and the statuses
-/// histogram of one service-bench replay, with status keys validated
-/// against the protocol's closed status set; version 8 added
-/// config.cache, the
-/// per-record cache_hit flag (true = schedule replayed from the
-/// solution cache, zero solver effort, empty attempts), and the
-/// top-level cache counter object {hits, misses, inserts, evictions}
-/// snapshotted from the ilpsched/cache.* telemetry at write time;
-/// version 7 added "portfolio" as a
-/// config.backend value and the per-attempt winner ("ilp" / "pb",
-/// empty on non-conclusive attempts and under single-engine backends)
-/// and bound_exchanges fields; version 6 added config.explain, the
-/// per-record explained_attempts / unexplained_attempts counts, and the
-/// per-attempt witness / witness_source / witness_verified /
-/// witness_detail / proof / gap / root_bound / trajectory forensics
-/// fields; version 5 added config.backend and the per-record
-/// pb_conflicts / pb_propagations CDCL counters plus the per-attempt
-/// pb_conflicts; version 4 added config.engine and the per-record
-/// refactorizations / eta_nnz factorization counters; version 3 added
-/// config.jobs, the per-record node_limit_hit flag / "node_limit"
-/// status, and the per-attempt cancelled flag; version 2 added the
-/// warm-start solve counters) is validated by
-/// scripts/check_bench_json.py — which still accepts versions 2
-/// through 8 — and documented in docs/OBSERVABILITY.md.
+/// if missing). The schema (schema_version 10: config, headline
+/// metrics, cache counters, the optional "service" object and the
+/// per-loop record sets with their per-attempt forensics) is validated
+/// by scripts/check_bench_json.py, which accepts only the current
+/// version, and documented in docs/OBSERVABILITY.md.
 class BenchJson {
 public:
   explicit BenchJson(std::string Experiment);
@@ -286,7 +258,7 @@ public:
   void addMetric(std::string Key, double Value);
 
   /// Registers the service-bench replay summary, emitted as the
-  /// top-level "service" object (schema v9; absent when never set).
+  /// top-level "service" object (absent when never set).
   void setServiceSummary(ServiceSummary Summary);
 
   /// Adds one labelled set of per-loop records (one per scheduler

@@ -22,7 +22,7 @@
 //   phase 4 (abuse):    the malformed-request corpus; the daemon must
 //                       reply with structured errors and never abort.
 //
-// Emits BENCH_service.json (schema v9 "service" object: qps, latency
+// Emits BENCH_service.json (its "service" object: qps, latency
 // percentiles, cache hit rate, shed count, status histogram) through
 // bench/Harness, and exits nonzero when the steady-state cache rate
 // falls below 90% or any cached verdict drifts from the fresh solve —

@@ -1,71 +1,40 @@
 #!/usr/bin/env python3
-"""Validate bench_results/BENCH_*.json artifacts (schema_version 2-9).
+"""Validate bench_results/BENCH_*.json artifacts (schema_version 10).
 
-Schema 9 (this version) extends schema 8 with the scheduling-service
-replay summary: an OPTIONAL top-level "service" object (present only
-when the experiment drove the scheduling service, i.e. bench/
-service_bench) carrying requests / shed / errors / cache_hits counters,
-qps and p50_ms / p95_ms / p99_ms latency percentiles, a cache_hit_rate
-in [0, 1], and a "statuses" histogram whose keys MUST come from the
-protocol's closed response-status set (ok, timeout, node_limit,
-unsolved, cancelled, error, retry_after) — an unknown status string is
-rejected, catching drift between service/Server.cpp's status mapping
-and consumers.
-Schema 8 extends schema 7 with the solution-cache
-fields: the config's cache flag (the MODSCHED_BENCH_CACHE /
-MODSCHED_CACHE knob), a per-record cache_hit flag (true = the schedule
-was replayed from the content-addressed solution cache; such a record
-must be solved and must report ZERO solver effort — no attempts, no
-nodes, no iterations, no PB conflicts — anything else is rejected),
-and a top-level cache_counters object with the hits / misses / inserts
-/ evictions ilpsched/cache.* telemetry snapshot.
-Schema 7 extended schema 6 with the portfolio-backend
-fields: "portfolio" joins the accepted config.backend strings (the
-MODSCHED_BENCH_BACKEND / MODSCHED_BACKEND knob) and every attempt
-carries a winner string ("ilp" or "pb" for a conclusive verdict
-committed by that engine; empty on censored/cancelled attempts and
-under single-engine backends — anything else is rejected) plus a
-bound_exchanges count of cross-engine incumbent exchanges.
-Schema 6 extended schema 5 with the solve-forensics
-fields: the config's explain flag (the MODSCHED_BENCH_EXPLAIN knob),
-per-record explained_attempts / unexplained_attempts counters, and
-per-attempt witness / witness_source / witness_verified /
-witness_detail infeasibility-explanation fields plus the proof / gap /
-root_bound / trajectory optimality-audit fields (trajectory entries
-are {seconds, nodes, incumbent, has_incumbent, bound} objects).
-Schema 5 extended schema 4 with the exact-backend fields:
-the config's backend string (the MODSCHED_BENCH_BACKEND /
-MODSCHED_BACKEND knob, "ilp" or "pb"), per-record pb_conflicts /
-pb_propagations counters (CDCL conflicts and unit propagations summed
-over all PB solves; zeros under the ILP backend), and a per-attempt
-pb_conflicts counter.
-Schema 4 extended schema 3 with the LP-engine fields: the
-config's engine string (the MODSCHED_BENCH_ENGINE / MODSCHED_LP_ENGINE
-knob, "dense" or "sparse_revised") and per-record refactorizations /
-eta_nnz factorization counters (basis refactorizations and product-form
-eta nonzeros summed over all node LPs; zeros under the dense engine).
-Schema 3 extended schema 2 with concurrency fields: the
-config's jobs count (the MODSCHED_BENCH_JOBS knob), a per-record
-node_limit_hit flag with its "node_limit" status, and a per-attempt
-cancelled flag (set on II attempts stopped by a lower-II race winner).
-Schema 2 extended schema 1 with the warm-start solver fields: per-record
-warm_solves / cold_solves / warm_iterations counters and the config's
-warm_start flag (the MODSCHED_BENCH_WARMSTART A/B knob). Legacy
-artifacts still validate; each version's keys are required only when
-the file declares at least that schema_version.
+Only the current schema is accepted; bench/Harness.cpp's BenchJson is
+the one emitter. An artifact carries:
+
+* "config": the resolved suite and solver knobs (MODSCHED_BENCH_*),
+  including backend ("ilp", "pb" or "portfolio"), explain and cache;
+* "metrics": experiment-specific headline numbers;
+* "cache_counters": the ilpsched/cache.* hits / misses / inserts /
+  evictions telemetry snapshot at write time;
+* an optional "service" object (bench/service_bench's replay summary):
+  requests / shed / errors / cache_hits counters, qps, p50_ms / p95_ms /
+  p99_ms, a cache_hit_rate in [0, 1], and a "statuses" histogram whose
+  keys MUST come from the protocol's closed response-status set (ok,
+  timeout, node_limit, unsolved, cancelled, error, retry_after);
+* "record_sets": labelled per-loop records with effort counters and
+  per-attempt forensics (witness / witness_source / proof / trajectory,
+  portfolio winner and bound exchanges). A cache_hit record must be
+  solved and report ZERO solver effort.
+
+Unknown status, backend, witness, proof and winner strings are
+rejected, catching drift between the emitter and consumers.
 
 Stdlib-only. Usage:
 
     python3 scripts/check_bench_json.py bench_results/*.json
 
 Exits 0 iff every file conforms to the schema documented in
-docs/OBSERVABILITY.md, printing one line per file. Intended for CI and
-for catching drift between bench/Harness.cpp's emitter and consumers.
+docs/OBSERVABILITY.md, printing one line per file.
 """
 
 import json
 import numbers
 import sys
+
+SCHEMA_VERSION = 10
 
 CONFIG_KEYS = {
     "synthetic_loops": numbers.Integral,
@@ -74,30 +43,9 @@ CONFIG_KEYS = {
     "node_limit": numbers.Integral,
     "large_cap": numbers.Integral,
     "warm_start": bool,
-}
-
-# Keys required only when schema_version >= 3.
-CONFIG_KEYS_V3 = {
     "jobs": numbers.Integral,
-}
-
-# Keys required only when schema_version >= 4.
-CONFIG_KEYS_V4 = {
-    "engine": str,
-}
-
-# Keys required only when schema_version >= 5.
-CONFIG_KEYS_V5 = {
     "backend": str,
-}
-
-# Keys required only when schema_version >= 6.
-CONFIG_KEYS_V6 = {
     "explain": bool,
-}
-
-# Keys required only when schema_version >= 8.
-CONFIG_KEYS_V8 = {
     "cache": bool,
 }
 
@@ -122,42 +70,27 @@ RECORD_KEYS = {
     "total_lifetime": numbers.Integral,
     "buffers": numbers.Integral,
     "attempts": list,
-}
-
-RECORD_KEYS_V3 = {
     "node_limit_hit": bool,
-}
-
-RECORD_KEYS_V4 = {
     "refactorizations": numbers.Integral,
     "eta_nnz": numbers.Integral,
-}
-
-RECORD_KEYS_V5 = {
     "pb_conflicts": numbers.Integral,
     "pb_propagations": numbers.Integral,
-}
-
-RECORD_KEYS_V6 = {
     "explained_attempts": numbers.Integral,
     "unexplained_attempts": numbers.Integral,
-}
-
-RECORD_KEYS_V8 = {
     "cache_hit": bool,
 }
 
 # Snapshot of the ilpsched/cache.* telemetry counters at write time.
-CACHE_COUNTER_KEYS_V8 = {
+CACHE_COUNTER_KEYS = {
     "hits": numbers.Integral,
     "misses": numbers.Integral,
     "inserts": numbers.Integral,
     "evictions": numbers.Integral,
 }
 
-# Optional top-level "service" object (schema 9): the scheduling-service
-# replay summary emitted by bench/service_bench.
-SERVICE_KEYS_V9 = {
+# Optional top-level "service" object: the scheduling-service replay
+# summary emitted by bench/service_bench.
+SERVICE_KEYS = {
     "requests": numbers.Integral,
     "shed": numbers.Integral,
     "errors": numbers.Integral,
@@ -172,7 +105,7 @@ SERVICE_KEYS_V9 = {
 
 # The protocol's closed response-status set (service/Protocol.h and
 # docs/SERVICE.md). "statuses" histogram keys must come from here.
-SERVICE_STATUSES_V9 = {"ok", "timeout", "node_limit", "unsolved",
+SERVICE_STATUSES = {"ok", "timeout", "node_limit", "unsolved",
                        "cancelled", "error", "retry_after"}
 
 ATTEMPT_KEYS = {
@@ -185,17 +118,8 @@ ATTEMPT_KEYS = {
     "variables": numbers.Integral,
     "constraints": numbers.Integral,
     "seconds": numbers.Real,
-}
-
-ATTEMPT_KEYS_V3 = {
     "cancelled": bool,
-}
-
-ATTEMPT_KEYS_V5 = {
     "pb_conflicts": numbers.Integral,
-}
-
-ATTEMPT_KEYS_V6 = {
     "witness": str,
     "witness_source": str,
     "witness_verified": bool,
@@ -204,14 +128,11 @@ ATTEMPT_KEYS_V6 = {
     "gap": numbers.Real,
     "root_bound": numbers.Real,
     "trajectory": list,
-}
-
-ATTEMPT_KEYS_V7 = {
     "winner": str,
     "bound_exchanges": numbers.Integral,
 }
 
-TRAJECTORY_KEYS_V6 = {
+TRAJECTORY_KEYS = {
     "seconds": numbers.Real,
     "nodes": numbers.Integral,
     "incumbent": numbers.Real,
@@ -219,26 +140,20 @@ TRAJECTORY_KEYS_V6 = {
     "bound": numbers.Real,
 }
 
-STATUSES_V2 = {"solved", "timeout", "unsolved"}
-STATUSES_V3 = STATUSES_V2 | {"node_limit"}
+STATUSES = {"solved", "timeout", "unsolved", "node_limit"}
 
-# Per-attempt solver verdicts (ilp::toString(MipStatus)). Checked at
-# every schema version: the emitter has printed these strings since
-# schema 2, and an unknown verdict used to slip through unvalidated.
+# Per-attempt solver verdicts (ilp::toString(MipStatus)).
 ATTEMPT_STATUSES = {"optimal", "infeasible", "limit", "cancelled"}
 
-ENGINES_V4 = {"dense", "sparse_revised"}
-
-BACKENDS_V5 = {"ilp", "pb"}
-BACKENDS_V7 = BACKENDS_V5 | {"portfolio"}
+BACKENDS = {"ilp", "pb", "portfolio"}
 
 # Per-attempt committed engine under the portfolio backend; empty means
 # "no conclusive verdict" or a single-engine backend.
-WINNERS_V7 = {"", "ilp", "pb"}
+WINNERS = {"", "ilp", "pb"}
 
-WITNESSES_V6 = {"cycle", "resource", "window", "none"}
-WITNESS_SOURCES_V6 = {"graph", "farkas", "core", "none"}
-PROOFS_V6 = {"", "optimal", "first_solution", "censored"}
+WITNESSES = {"cycle", "resource", "window", "none"}
+WITNESS_SOURCES = {"graph", "farkas", "core", "none"}
+PROOFS = {"", "optimal", "first_solution", "censored"}
 
 
 class SchemaError(Exception):
@@ -263,93 +178,61 @@ def check_keys(obj, spec, where):
                               f"got {type(value).__name__}")
 
 
-def check_record(record, where, version):
+def check_record(record, where):
     check_keys(record, RECORD_KEYS, where)
-    if version >= 3:
-        check_keys(record, RECORD_KEYS_V3, where)
-    if version >= 4:
-        check_keys(record, RECORD_KEYS_V4, where)
-    if version >= 5:
-        check_keys(record, RECORD_KEYS_V5, where)
-    if version >= 6:
-        check_keys(record, RECORD_KEYS_V6, where)
-    if version >= 8:
-        check_keys(record, RECORD_KEYS_V8, where)
-        if record["cache_hit"]:
-            # A cache-served record replays a previous verified solve;
-            # it must never masquerade as solver work.
-            if not record["solved"]:
+    if record["cache_hit"]:
+        # A cache-served record replays a previous verified solve; it
+        # must never masquerade as solver work.
+        if not record["solved"]:
+            raise SchemaError(f"{where}: cache_hit=true but solved=false")
+        if record["attempts"]:
+            raise SchemaError(f"{where}: cache_hit=true but "
+                              f"{len(record['attempts'])} solver "
+                              f"attempt(s) reported")
+        for effort in ("nodes", "iterations", "pb_conflicts",
+                       "pb_propagations"):
+            if record[effort]:
                 raise SchemaError(f"{where}: cache_hit=true but "
-                                  f"solved=false")
-            if record["attempts"]:
-                raise SchemaError(f"{where}: cache_hit=true but "
-                                  f"{len(record['attempts'])} solver "
-                                  f"attempt(s) reported")
-            for effort in ("nodes", "iterations", "pb_conflicts",
-                           "pb_propagations"):
-                if record[effort]:
-                    raise SchemaError(f"{where}: cache_hit=true but "
-                                      f"{effort}={record[effort]}")
-    statuses = STATUSES_V3 if version >= 3 else STATUSES_V2
-    if record["status"] not in statuses:
+                                  f"{effort}={record[effort]}")
+    if record["status"] not in STATUSES:
         raise SchemaError(f"{where}.status: {record['status']!r} not in "
-                          f"{sorted(statuses)}")
+                          f"{sorted(STATUSES)}")
     if record["solved"] and record["status"] != "solved":
         raise SchemaError(f"{where}: solved=true but status="
                           f"{record['status']!r}")
-    if version >= 3:
-        if record["status"] == "node_limit" and not record["node_limit_hit"]:
-            raise SchemaError(f"{where}: status='node_limit' but "
-                              f"node_limit_hit=false")
-        if record["timed_out"] and record["status"] not in {"timeout",
-                                                            "solved"}:
-            raise SchemaError(f"{where}: timed_out=true but status="
-                              f"{record['status']!r} (timeout wins over "
-                              f"node_limit)")
+    if record["status"] == "node_limit" and not record["node_limit_hit"]:
+        raise SchemaError(f"{where}: status='node_limit' but "
+                          f"node_limit_hit=false")
+    if record["timed_out"] and record["status"] not in {"timeout", "solved"}:
+        raise SchemaError(f"{where}: timed_out=true but status="
+                          f"{record['status']!r} (timeout wins over "
+                          f"node_limit)")
     for i, attempt in enumerate(record["attempts"]):
-        awhere = f"{where}.attempts[{i}]"
-        check_keys(attempt, ATTEMPT_KEYS, awhere)
-        if attempt["status"] not in ATTEMPT_STATUSES:
-            raise SchemaError(f"{awhere}.status: {attempt['status']!r} not "
-                              f"in {sorted(ATTEMPT_STATUSES)}")
-        if version >= 3:
-            check_keys(attempt, ATTEMPT_KEYS_V3, awhere)
-        if version >= 5:
-            check_keys(attempt, ATTEMPT_KEYS_V5, awhere)
-        if version >= 6:
-            check_attempt_forensics(attempt, awhere)
-        if version >= 7:
-            check_keys(attempt, ATTEMPT_KEYS_V7, awhere)
-            if attempt["winner"] not in WINNERS_V7:
-                raise SchemaError(f"{awhere}.winner: "
-                                  f"{attempt['winner']!r} not in "
-                                  f"{sorted(WINNERS_V7)}")
-            if attempt["winner"] and attempt["cancelled"]:
-                raise SchemaError(f"{awhere}: cancelled attempt claims "
-                                  f"winner={attempt['winner']!r}")
+        check_attempt(attempt, f"{where}.attempts[{i}]")
 
 
-def check_attempt_forensics(attempt, awhere):
-    check_keys(attempt, ATTEMPT_KEYS_V6, awhere)
-    if attempt["witness"] not in WITNESSES_V6:
-        raise SchemaError(f"{awhere}.witness: {attempt['witness']!r} not in "
-                          f"{sorted(WITNESSES_V6)}")
-    if attempt["witness_source"] not in WITNESS_SOURCES_V6:
-        raise SchemaError(f"{awhere}.witness_source: "
-                          f"{attempt['witness_source']!r} not in "
-                          f"{sorted(WITNESS_SOURCES_V6)}")
-    if attempt["proof"] not in PROOFS_V6:
-        raise SchemaError(f"{awhere}.proof: {attempt['proof']!r} not in "
-                          f"{sorted(PROOFS_V6)}")
+def check_attempt(attempt, awhere):
+    check_keys(attempt, ATTEMPT_KEYS, awhere)
+    for key, allowed in (("status", ATTEMPT_STATUSES),
+                         ("winner", WINNERS),
+                         ("witness", WITNESSES),
+                         ("witness_source", WITNESS_SOURCES),
+                         ("proof", PROOFS)):
+        if attempt[key] not in allowed:
+            raise SchemaError(f"{awhere}.{key}: {attempt[key]!r} not in "
+                              f"{sorted(allowed)}")
+    if attempt["winner"] and attempt["cancelled"]:
+        raise SchemaError(f"{awhere}: cancelled attempt claims "
+                          f"winner={attempt['winner']!r}")
     if attempt["witness"] != "none" and attempt["witness_source"] == "none":
         raise SchemaError(f"{awhere}: witness={attempt['witness']!r} but "
                           f"witness_source='none'")
     for t, sample in enumerate(attempt["trajectory"]):
-        check_keys(sample, TRAJECTORY_KEYS_V6, f"{awhere}.trajectory[{t}]")
+        check_keys(sample, TRAJECTORY_KEYS, f"{awhere}.trajectory[{t}]")
 
 
 def check_service(service):
-    check_keys(service, SERVICE_KEYS_V9, "$.service")
+    check_keys(service, SERVICE_KEYS, "$.service")
     for key in ("requests", "shed", "errors", "cache_hits"):
         if service[key] < 0:
             raise SchemaError(f"$.service.{key}: negative count "
@@ -359,9 +242,9 @@ def check_service(service):
                           f"{service['cache_hit_rate']} outside [0, 1]")
     for status, count in service["statuses"].items():
         swhere = f"$.service.statuses[{status!r}]"
-        if status not in SERVICE_STATUSES_V9:
+        if status not in SERVICE_STATUSES:
             raise SchemaError(f"{swhere}: unknown status (want one of "
-                              f"{sorted(SERVICE_STATUSES_V9)})")
+                              f"{sorted(SERVICE_STATUSES)})")
         if isinstance(count, bool) or not isinstance(count, numbers.Integral):
             raise SchemaError(f"{swhere}: expected integer, got "
                               f"{type(count).__name__}")
@@ -378,41 +261,21 @@ def check_file(path):
         "generated_unix": numbers.Integral,
         "config": dict,
         "metrics": dict,
+        "cache_counters": dict,
         "record_sets": list,
     }, "$")
-    version = doc["schema_version"]
-    if version not in (2, 3, 4, 5, 6, 7, 8, 9):
-        raise SchemaError(f"$.schema_version: expected 2 through 9, got "
-                          f"{version}")
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise SchemaError(f"$.schema_version: expected {SCHEMA_VERSION}, "
+                          f"got {doc['schema_version']}")
     if not doc["experiment"]:
         raise SchemaError("$.experiment: empty string")
     check_keys(doc["config"], CONFIG_KEYS, "$.config")
-    if version >= 3:
-        check_keys(doc["config"], CONFIG_KEYS_V3, "$.config")
-    if version >= 4:
-        check_keys(doc["config"], CONFIG_KEYS_V4, "$.config")
-        if doc["config"]["engine"] not in ENGINES_V4:
-            raise SchemaError(f"$.config.engine: "
-                              f"{doc['config']['engine']!r} not in "
-                              f"{sorted(ENGINES_V4)}")
-    if version >= 5:
-        check_keys(doc["config"], CONFIG_KEYS_V5, "$.config")
-        backends = BACKENDS_V7 if version >= 7 else BACKENDS_V5
-        if doc["config"]["backend"] not in backends:
-            raise SchemaError(f"$.config.backend: "
-                              f"{doc['config']['backend']!r} not in "
-                              f"{sorted(backends)}")
-    if version >= 6:
-        check_keys(doc["config"], CONFIG_KEYS_V6, "$.config")
-    if version >= 8:
-        check_keys(doc["config"], CONFIG_KEYS_V8, "$.config")
-        check_keys(doc, {"cache_counters": dict}, "$")
-        check_keys(doc["cache_counters"], CACHE_COUNTER_KEYS_V8,
-                   "$.cache_counters")
+    if doc["config"]["backend"] not in BACKENDS:
+        raise SchemaError(f"$.config.backend: "
+                          f"{doc['config']['backend']!r} not in "
+                          f"{sorted(BACKENDS)}")
+    check_keys(doc["cache_counters"], CACHE_COUNTER_KEYS, "$.cache_counters")
     if "service" in doc:
-        if version < 9:
-            raise SchemaError(f"$.service: present but schema_version="
-                              f"{version} predates it (want >= 9)")
         check_service(doc["service"])
     for key, value in doc["metrics"].items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -423,7 +286,7 @@ def check_file(path):
         where = f"$.record_sets[{s}]"
         check_keys(record_set, {"label": str, "records": list}, where)
         for r, record in enumerate(record_set["records"]):
-            check_record(record, f"{where}.records[{r}]", version)
+            check_record(record, f"{where}.records[{r}]")
             n_records += 1
     return len(doc["record_sets"]), n_records
 

@@ -238,12 +238,12 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
   // scope — no per-node remaining-time arithmetic), and every node LP
   // reuses the context's persistent workspace. With depth-first search
   // the preferred child is solved immediately after its parent, so the
-  // workspace tableau usually still realizes the parent basis and the
+  // workspace usually still realizes the parent basis and the
   // warm start skips refactorization entirely.
   lp::DeadlineScope Deadline(Ctx, Opts.TimeLimitSeconds);
   lp::SimplexOptions LpOpts = Opts.Lp;
   if (Opts.CollectFarkas)
-    LpOpts.CollectFarkas = true;
+    LpOpts.CollectCertificate = true;
   SimplexSolver Lp(LpOpts);
 
   // Farkas support rows of every infeasible node LP (histogrammed into

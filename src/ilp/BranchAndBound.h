@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A branch-and-bound mixed-integer programming solver built on the dense
+/// A branch-and-bound mixed-integer programming solver built on the
 /// simplex in src/lp. It substitutes for the commercial CPLEX solver used
 /// in the paper and exposes the two statistics the paper's evaluation
 /// revolves around: the number of branch-and-bound nodes visited and the
@@ -125,7 +125,7 @@ struct MipOptions {
   bool WarmStart = true;
   BranchRule Branching = BranchRule::MostFractional;
   /// Collect Farkas support rows from infeasible node LPs (forces
-  /// SimplexOptions::CollectFarkas on the node LPs) so an Infeasible
+  /// SimplexOptions::CollectCertificate on the node LPs) so an Infeasible
   /// verdict comes with MipResult::FarkasRows. Forensics knob, off by
   /// default.
   bool CollectFarkas = false;
@@ -216,11 +216,9 @@ struct MipResult {
   /// Simplex iterations spent inside warm-started solves (subset of
   /// SimplexIterations).
   int64_t WarmLpIterations = 0;
-  /// Basis refactorizations summed over all node LPs (sparse engine: LU
-  /// factorizations; dense engine: periodic basic-value refreshes).
+  /// LU basis (re)factorizations summed over all node LPs.
   int64_t LpRefactorizations = 0;
-  /// Product-form eta nonzeros appended across all node LPs (sparse
-  /// engine only; 0 under the dense engine).
+  /// Product-form eta nonzeros appended across all node LPs.
   int64_t LpEtaNonzeros = 0;
 
   // --- Forensics (see docs/OBSERVABILITY.md) ---

@@ -156,7 +156,6 @@ IlpEngine::solveAttempt(AttemptContext &C) const {
   MipOpts.Branching = Opts.Branching;
   MipOpts.StopAtFirstSolution = FOpts.Obj == Objective::None;
   MipOpts.WarmStart = Opts.WarmStart;
-  MipOpts.Lp.Engine = Opts.LpEngine;
   MipOpts.CollectFarkas = Opts.Explain;
   MipOpts.CollectTrajectory = Opts.Explain;
   if (Hooks) {

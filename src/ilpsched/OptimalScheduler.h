@@ -72,8 +72,7 @@ const char *toString(SchedulerBackend Backend);
 
 /// Backend selected by the MODSCHED_BACKEND environment variable
 /// ("ilp" | "pb" | "portfolio"; unset or unrecognized values keep Ilp,
-/// the latter with a one-time warning). Read once and cached, like
-/// lp::defaultSimplexEngine.
+/// the latter with a one-time warning). Read once and cached.
 SchedulerBackend defaultSchedulerBackend();
 
 /// Default for SchedulerOptions::Explain, from the MODSCHED_EXPLAIN
@@ -127,9 +126,8 @@ struct SchedulerOptions {
   /// benchmark A/B, see bench/micro_solver).
   bool WarmStart = true;
   /// LP engine executing every node LP (forwarded to
-  /// ilp::MipOptions::Lp.Engine; ablation knob for the sparse-vs-dense
-  /// benchmark A/B, see bench/micro_solver and EXPERIMENTS.md E10).
-  lp::SimplexEngine LpEngine = lp::defaultSimplexEngine();
+  /// ilp::MipOptions::Lp.Engine); kept so callers that set it compile.
+  lp::SimplexEngine LpEngine = lp::SimplexEngine::SparseRevised;
   /// II search strategy.
   IiSearchKind Search = IiSearchKind::Sequential;
   /// Worker threads for IiSearchKind::ParallelRace (also the II window
@@ -306,11 +304,9 @@ struct ScheduleResult {
   /// Simplex iterations inside warm-started LPs (subset of
   /// SimplexIterations), summed over attempts.
   int64_t WarmLpIterations = 0;
-  /// Basis refactorizations summed over attempts (sparse engine: LU
-  /// factorizations; dense: periodic basic-value refreshes).
+  /// LU basis (re)factorizations summed over attempts.
   int64_t LpRefactorizations = 0;
-  /// Product-form eta nonzeros appended, summed over attempts (sparse
-  /// engine only; 0 under the dense engine).
+  /// Product-form eta nonzeros appended, summed over attempts.
   int64_t LpEtaNonzeros = 0;
   /// PB-backend effort summed over attempts (all 0 under the ILP
   /// backend; see docs/OBSERVABILITY.md "pb" counters).

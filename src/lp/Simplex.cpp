@@ -1,12 +1,9 @@
 //===- lp/Simplex.cpp - Bounded-variable primal/dual simplex --------------===//
 //
-// Dense bounded-variable simplex with two entry points: a two-phase
-// primal for cold solves and a warm-startable dual simplex for re-solves
-// from an exported basis after bound tightenings (the branch-and-bound
-// pattern). See Simplex.h for an overview, Chvatal, "Linear
-// Programming", ch. 8 for bounded-variable primal simplex, and
-// Koberstein's "The dual simplex method" for the dual ratio test with
-// boxed variables.
+// The SimplexSolver front end: bound sanity, the warm-start attempt with
+// its cold fallback, telemetry, certificate and basis export. The pivots
+// themselves run in the sparse revised simplex engine
+// (lp/SparseRevisedSimplex.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,15 +12,9 @@
 #include "lp/SolveContext.h"
 #include "lp/SparseRevisedSimplex.h"
 #include "support/Telemetry.h"
-#include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace {
 
@@ -40,7 +31,7 @@ modsched::telemetry::Counter StatFlips("lp", "simplex.bound_flips",
                                        "entering-variable bound flips");
 modsched::telemetry::Counter
     StatRefactor("lp", "simplex.refactorizations",
-                 "periodic basic-value refreshes");
+                 "LU basis refactorizations");
 modsched::telemetry::Counter StatInfeasible("lp", "simplex.infeasible",
                                             "LP solves proved infeasible");
 modsched::telemetry::Counter
@@ -61,11 +52,6 @@ modsched::telemetry::Counter
 modsched::telemetry::PhaseTimer TimeSolve("lp", "simplex.solve",
                                           "wall time in LP solves");
 
-/// Process-unique stamp source for exported bases. Atomic: concurrent
-/// solve attempts (each under its own SolveContext) stamp bases from
-/// their own threads.
-std::atomic<uint64_t> NextBasisId{0};
-
 } // namespace
 
 using namespace modsched;
@@ -85,995 +71,12 @@ const char *lp::toString(LpStatus Status) {
   return "unknown";
 }
 
-const char *lp::toString(SimplexEngine Engine) {
-  switch (Engine) {
-  case SimplexEngine::Dense:
-    return "dense";
-  case SimplexEngine::SparseRevised:
-    return "sparse_revised";
-  }
-  return "unknown";
-}
-
-SimplexEngine lp::defaultSimplexEngine() {
-  static const SimplexEngine Cached = [] {
-    const char *Env = std::getenv("MODSCHED_LP_ENGINE");
-    if (!Env || !*Env)
-      return SimplexEngine::SparseRevised;
-    if (std::strcmp(Env, "dense") == 0)
-      return SimplexEngine::Dense;
-    if (std::strcmp(Env, "sparse") == 0 ||
-        std::strcmp(Env, "sparse_revised") == 0)
-      return SimplexEngine::SparseRevised;
-    std::fprintf(stderr,
-                 "modsched: unrecognized MODSCHED_LP_ENGINE='%s' "
-                 "(want dense|sparse); keeping sparse_revised\n",
-                 Env);
-    return SimplexEngine::SparseRevised;
-  }();
-  return Cached;
-}
-
-uint64_t lp::detail::takeBasisStamp() {
-  return NextBasisId.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-namespace {
-
-/// Where a column currently rests (shared with the sparse engine so
-/// exported bases are interchangeable; see lp::ColState).
-using ColStatus = lp::ColState;
-
-/// Reduced-cost sign tolerance for accepting a starting basis as
-/// dual-feasible (slightly looser than OptTol to absorb drift
-/// accumulated across chained warm solves).
-constexpr double DualFeasTol = 1e-6;
-
-/// The working tableau for one or more solves. Columns are laid out as
-/// [structural | slack | artificial]. The object is reusable: initCold /
-/// tryInitWarm re-seed it for the next solve while recycling every
-/// buffer, which is what SimplexWorkspace persists across the
-/// branch-and-bound node loop.
-class Tableau {
-public:
-  /// Seeds a cold solve: slack/artificial starting basis for phase 1.
-  void initCold(const Model &M, const std::vector<double> &Lower,
-                const std::vector<double> &Upper, const SimplexOptions &Opts);
-
-  /// Seeds a warm solve from \p B. Returns false (leaving the object in
-  /// need of initCold) when the basis cannot be realized: shape
-  /// mismatch, singular refactorization, or dual infeasibility beyond
-  /// tolerance. On success the tableau realizes \p B with the new
-  /// bounds, either in place (when the workspace still held it) or via
-  /// refactorization from the original constraint matrix.
-  bool tryInitWarm(const Model &M, const std::vector<double> &Lower,
-                   const std::vector<double> &Upper, const Basis &B,
-                   const SimplexOptions &Opts);
-
-  /// Runs phase 1 (if needed) and phase 2. Returns the final status.
-  LpStatus run();
-
-  /// Runs the dual simplex until primal feasibility, then a primal
-  /// clean-up pass. Requires tryInitWarm to have succeeded.
-  LpStatus runWarm();
-
-  /// Exports the current (optimal) basis. Returns false when a
-  /// degenerate artificial column is basic and cannot be pivoted out.
-  bool extractBasis(Basis &Out);
-
-  /// Stamps \p B (and the tableau) with a fresh identity after a
-  /// successful extractBasis, enabling O(1) reuse detection.
-  void stamp(Basis &B) {
-    B.Id = lp::detail::takeBasisStamp();
-    CurrentStamp = B.Id;
-  }
-
-  /// Installs the per-attempt solve environment observed by
-  /// budgetExceeded() (deadline + cancellation); null detaches.
-  void setContext(const SolveContext *Ctx) { CtxP = Ctx; }
-
-  /// Marks the tableau as not realizing any exported basis (after a
-  /// non-optimal end state or a failed extraction).
-  void invalidateStamp() { CurrentStamp = 0; }
-
-  /// Extracts the values of the structural variables.
-  std::vector<double> structuralValues() const;
-
-  int64_t iterations() const { return Iters; }
-  int64_t degeneratePivots() const { return Degenerate; }
-  int64_t boundFlips() const { return Flips; }
-  int64_t refactorizations() const { return Refactors; }
-  int64_t phase1Iterations() const { return Phase1Iters; }
-  int64_t dualIterations() const { return DualIters; }
-  /// Product-form eta nonzeros: the dense tableau has no eta file.
-  int64_t etaNonzeros() const { return 0; }
-  /// True when the last tryInitWarm took the rebuild-from-matrix path
-  /// (counted as a basis rebuild by the caller's telemetry).
-  bool didRebuildBasis() const { return DidRebuild; }
-  /// Rows supporting the infeasibility certificate of the last solve
-  /// (with SimplexOptions::CollectFarkas; may contain duplicates).
-  const std::vector<int> &farkasRows() const { return FarkasSupport; }
-
-private:
-  /// Runs the primal simplex loop with the current cost row until
-  /// optimality, unboundedness, or the iteration limit.
-  LpStatus iterate(bool PhaseOne);
-
-  /// Runs the dual simplex loop until primal feasibility, infeasibility,
-  /// or the iteration limit. Requires a dual-feasible basis.
-  LpStatus dualIterate();
-
-  /// Records the model rows appearing in tableau row \p Row's slack
-  /// columns — the support of the Farkas certificate \p Row encodes.
-  /// No-op unless SimplexOptions::CollectFarkas is set.
-  void recordFarkasRow(int Row) {
-    if (!OptsP->CollectFarkas)
-      return;
-    for (int Col = NumStruct; Col < FirstArtificial; ++Col)
-      if (std::abs(tab(Row, Col)) > 1e-9)
-        FarkasSupport.push_back(Col - NumStruct);
-  }
-
-  /// Shared per-solve bookkeeping for initCold / tryInitWarm.
-  void beginSolve(const Model &M, const SimplexOptions &Opts);
-
-  /// Lays out bounds/objective/statuses and the raw (unreduced) tableau
-  /// for \p M with no artificial columns; basis assignment left to the
-  /// caller.
-  void buildRaw(const Model &M, const std::vector<double> &Lower,
-                const std::vector<double> &Upper);
-
-  /// Rebuilds CostRow[j] = Cost[j] - sum_i Cost[Basis[i]] * Tab(i, j).
-  void rebuildCostRow();
-
-  /// Rebuilds the basic-variable values from Rhs and the nonbasic resting
-  /// values; flushes accumulated floating-point drift.
-  void refreshBasicValues();
-
-  /// Row-reduces the tableau so column \p Enter becomes the identity
-  /// column of \p LeaveRow, updating Rhs and CostRow. Does not touch
-  /// Status / Basis / BasicValue (callers differ there).
-  void applyPivot(int LeaveRow, int Enter);
-
-  /// Re-rests any nonbasic column whose resting bound is no longer
-  /// finite (or that was free and now has finite bounds) on a bound
-  /// compatible with its reduced-cost sign.
-  void snapNonbasicToBounds();
-
-  /// True when every nonbasic column's reduced cost has the sign its
-  /// status requires (within DualFeasTol).
-  bool dualFeasible() const;
-
-  /// Chooses the entering column, or -1 at optimality.
-  int chooseEntering(bool Bland) const;
-
-  /// Checks the per-solve pivot/wall-clock budgets and the context's
-  /// cancellation token / deadline (every 64 pivots).
-  bool budgetExceeded() const {
-    if (Iters >= OptsP->MaxIterations)
-      return true;
-    if ((Iters & 63) != 0)
-      return false;
-    if (CtxP && (CtxP->cancelled() || CtxP->deadlineExpired()))
-      return true;
-    return Clock.seconds() > OptsP->TimeLimitSeconds;
-  }
-
-  double &tab(int Row, int Col) { return Tab[size_t(Row) * NumCols + Col]; }
-  double tab(int Row, int Col) const {
-    return Tab[size_t(Row) * NumCols + Col];
-  }
-
-  /// Resting value of nonbasic column \p Col.
-  double restingValue(int Col) const {
-    switch (Status[Col]) {
-    case ColStatus::AtLower:
-      return Lo[Col];
-    case ColStatus::AtUpper:
-      return Up[Col];
-    case ColStatus::Free:
-      return 0.0;
-    case ColStatus::Basic:
-      break;
-    }
-    assert(false && "restingValue of basic column");
-    return 0.0;
-  }
-
-  const SimplexOptions *OptsP = nullptr;
-  const Model *ModelP = nullptr; ///< Model of the current tableau state.
-  int NumRows = 0;
-  int NumStruct = 0;
-  int NumCols = 0; ///< structural + slack + artificial.
-  int FirstArtificial = 0;
-
-  std::vector<double> Tab;        ///< B^-1 * A, dense, row-major.
-  std::vector<double> Rhs;        ///< B^-1 * b.
-  std::vector<double> Lo, Up;     ///< Column bounds.
-  std::vector<double> Obj;        ///< Model objective (structural columns).
-  std::vector<double> Cost;       ///< Current-phase costs, all columns.
-  std::vector<double> CostRow;    ///< Reduced costs.
-  std::vector<ColStatus> Status;  ///< Per-column status.
-  std::vector<int> Basis;         ///< Basis[row] = column index.
-  std::vector<double> BasicValue; ///< Current value of Basis[row].
-  std::vector<int> Scratch;      ///< Refactorization work list.
-  std::vector<int> FarkasSupport; ///< Certificate rows (CollectFarkas).
-  int64_t Iters = 0;
-  int64_t Degenerate = 0;  ///< Pivots with ~zero step length.
-  int64_t Flips = 0;       ///< Pure bound-flip pivots.
-  int64_t Refactors = 0;   ///< refreshBasicValues() calls.
-  int64_t Phase1Iters = 0; ///< Pivots spent in phase 1.
-  int64_t DualIters = 0;   ///< Pivots spent in the dual simplex.
-  /// Pivots accumulated in Tab since the last build from the original
-  /// constraint matrix; bounds tableau drift across chained warm solves.
-  int64_t PivotsSinceFactor = 0;
-  /// Whether the last tryInitWarm rebuilt the tableau from the matrix.
-  bool DidRebuild = false;
-  /// Id of the exported basis this tableau currently realizes (0 =
-  /// none). See Basis::Id.
-  uint64_t CurrentStamp = 0;
-  /// Per-attempt solve environment (deadline + cancellation), or null.
-  /// Borrowed from the caller of SimplexSolver::solve for its duration.
-  const SolveContext *CtxP = nullptr;
-  Stopwatch Clock;
-};
-
-void Tableau::beginSolve(const Model &M, const SimplexOptions &Opts) {
-  OptsP = &Opts;
-  Iters = Degenerate = Flips = Refactors = Phase1Iters = DualIters = 0;
-  FarkasSupport.clear();
-  Clock.reset();
-  NumRows = M.numConstraints();
-  NumStruct = M.numVariables();
-  FirstArtificial = NumStruct + NumRows;
-}
-
-void Tableau::buildRaw(const Model &M, const std::vector<double> &Lower,
-                       const std::vector<double> &Upper) {
-  Obj.assign(Lower.size(), 0.0);
-  for (int Col = 0; Col < NumStruct; ++Col)
-    Obj[Col] = M.variable(Col).Objective;
-
-  // Column bounds: structural variables first, then one slack per row.
-  Lo.assign(Lower.begin(), Lower.end());
-  Up.assign(Upper.begin(), Upper.end());
-  Lo.resize(FirstArtificial);
-  Up.resize(FirstArtificial);
-  for (int Row = 0; Row < NumRows; ++Row) {
-    int SlackCol = NumStruct + Row;
-    switch (M.constraint(Row).Sense) {
-    case ConstraintSense::LE:
-      Lo[SlackCol] = 0.0;
-      Up[SlackCol] = infinity();
-      break;
-    case ConstraintSense::GE:
-      Lo[SlackCol] = -infinity();
-      Up[SlackCol] = 0.0;
-      break;
-    case ConstraintSense::EQ:
-      Lo[SlackCol] = 0.0;
-      Up[SlackCol] = 0.0;
-      break;
-    }
-  }
-  NumCols = FirstArtificial;
-
-  Tab.assign(size_t(NumRows) * NumCols, 0.0);
-  Rhs.assign(NumRows, 0.0);
-  for (int Row = 0; Row < NumRows; ++Row) {
-    const Constraint &C = M.constraint(Row);
-    for (const Term &T : C.Terms)
-      tab(Row, T.first) += T.second;
-    tab(Row, NumStruct + Row) = 1.0; // Slack.
-    Rhs[Row] = C.Rhs;
-  }
-  PivotsSinceFactor = 0;
-}
-
-void Tableau::initCold(const Model &M, const std::vector<double> &Lower,
-                       const std::vector<double> &Upper,
-                       const SimplexOptions &Opts) {
-  beginSolve(M, Opts);
-  ModelP = &M;
-  CurrentStamp = 0;
-
-  Obj.assign(size_t(NumStruct), 0.0);
-  for (int Col = 0; Col < NumStruct; ++Col)
-    Obj[Col] = M.variable(Col).Objective;
-
-  // Column bounds: structural variables first, then one slack per row.
-  Lo.assign(Lower.begin(), Lower.end());
-  Up.assign(Upper.begin(), Upper.end());
-  Lo.resize(FirstArtificial);
-  Up.resize(FirstArtificial);
-  for (int Row = 0; Row < NumRows; ++Row) {
-    int SlackCol = NumStruct + Row;
-    switch (M.constraint(Row).Sense) {
-    case ConstraintSense::LE:
-      Lo[SlackCol] = 0.0;
-      Up[SlackCol] = infinity();
-      break;
-    case ConstraintSense::GE:
-      Lo[SlackCol] = -infinity();
-      Up[SlackCol] = 0.0;
-      break;
-    case ConstraintSense::EQ:
-      Lo[SlackCol] = 0.0;
-      Up[SlackCol] = 0.0;
-      break;
-    }
-  }
-
-  // Rest every structural variable at a finite bound (or 0 when free) and
-  // compute the residual each row's slack must absorb.
-  Status.assign(FirstArtificial, ColStatus::AtLower);
-  for (int Col = 0; Col < NumStruct; ++Col) {
-    if (std::isfinite(Lo[Col]))
-      Status[Col] = ColStatus::AtLower;
-    else if (std::isfinite(Up[Col]))
-      Status[Col] = ColStatus::AtUpper;
-    else
-      Status[Col] = ColStatus::Free;
-  }
-
-  std::vector<double> Residual(NumRows, 0.0);
-  for (int Row = 0; Row < NumRows; ++Row) {
-    const Constraint &C = M.constraint(Row);
-    double Lhs = 0.0;
-    for (const Term &T : C.Terms)
-      Lhs += T.second * restingValue(T.first);
-    Residual[Row] = C.Rhs - Lhs;
-  }
-
-  // Decide, per row, whether the slack can hold the residual; otherwise
-  // the row gets an artificial column and the slack rests at the violated
-  // (necessarily finite) bound.
-  Basis.assign(NumRows, -1);
-  BasicValue.assign(NumRows, 0.0);
-  std::vector<int> ArtificialSign(NumRows, 0);
-  int NumArtificials = 0;
-  for (int Row = 0; Row < NumRows; ++Row) {
-    int SlackCol = NumStruct + Row;
-    double R = Residual[Row];
-    if (R >= Lo[SlackCol] - Opts.FeasTol &&
-        R <= Up[SlackCol] + Opts.FeasTol) {
-      Status[SlackCol] = ColStatus::Basic;
-      Basis[Row] = SlackCol;
-      BasicValue[Row] = std::clamp(R, Lo[SlackCol], Up[SlackCol]);
-      continue;
-    }
-    double Clamped = std::clamp(R, Lo[SlackCol], Up[SlackCol]);
-    Status[SlackCol] =
-        (Clamped == Lo[SlackCol]) ? ColStatus::AtLower : ColStatus::AtUpper;
-    double Excess = R - Clamped;
-    ArtificialSign[Row] = Excess > 0 ? 1 : -1;
-    int ArtCol = FirstArtificial + NumArtificials++;
-    Basis[Row] = ArtCol;
-    BasicValue[Row] = std::abs(Excess);
-  }
-
-  NumCols = FirstArtificial + NumArtificials;
-  Lo.resize(NumCols, 0.0);
-  Up.resize(NumCols, infinity());
-  std::fill(Lo.begin() + FirstArtificial, Lo.end(), 0.0);
-  std::fill(Up.begin() + FirstArtificial, Up.end(), infinity());
-  Status.resize(NumCols, ColStatus::Basic);
-  std::fill(Status.begin() + FirstArtificial, Status.end(),
-            ColStatus::Basic);
-
-  // Fill the tableau. A row whose basis column is an artificial with sign
-  // -1 is negated so the initial basis matrix is the identity.
-  Tab.assign(size_t(NumRows) * NumCols, 0.0);
-  Rhs.assign(NumRows, 0.0);
-  for (int Row = 0; Row < NumRows; ++Row) {
-    const Constraint &C = M.constraint(Row);
-    double Scale = ArtificialSign[Row] < 0 ? -1.0 : 1.0;
-    for (const Term &T : C.Terms)
-      tab(Row, T.first) += Scale * T.second;
-    tab(Row, NumStruct + Row) = Scale; // Slack.
-    if (ArtificialSign[Row] != 0)
-      tab(Row, Basis[Row]) = 1.0; // Artificial column, already scaled.
-    Rhs[Row] = Scale * C.Rhs;
-  }
-  PivotsSinceFactor = 0;
-
-  Cost.assign(NumCols, 0.0);
-  CostRow.assign(NumCols, 0.0);
-}
-
-bool Tableau::tryInitWarm(const Model &M, const std::vector<double> &Lower,
-                          const std::vector<double> &Upper,
-                          const lp::Basis &B, const SimplexOptions &Opts) {
-  // Shape check: the basis must describe this model's column layout.
-  int Rows = M.numConstraints();
-  int Struct = M.numVariables();
-  if (static_cast<int>(B.BasicCols.size()) != Rows ||
-      static_cast<int>(B.ColStatus.size()) != Struct + Rows)
-    return false;
-
-  // Fast path: the workspace tableau still realizes exactly this basis
-  // (the child-after-parent pattern of depth-first branch-and-bound).
-  // Only the bounds changed, and the tableau (B^-1 A) does not depend on
-  // bounds — rebind them and go. Guarded by a drift budget: after enough
-  // chained pivots, refactorize from the original matrix instead.
-  bool Reused = false;
-  DidRebuild = false;
-  if (B.Id != 0 && B.Id == CurrentStamp && ModelP == &M &&
-      NumRows == Rows && NumStruct == Struct &&
-      PivotsSinceFactor < Opts.WarmRebuildPivots) {
-    beginSolve(M, Opts);
-    CurrentStamp = 0; // Tableau is about to diverge from any export.
-    std::copy(Lower.begin(), Lower.end(), Lo.begin());
-    std::copy(Upper.begin(), Upper.end(), Up.begin());
-    Reused = true;
-  } else {
-    // Refactorization path: rebuild the raw tableau (no artificials) and
-    // row-reduce the requested basic columns to the identity, choosing
-    // pivot rows greedily by magnitude for stability.
-    DidRebuild = true;
-    beginSolve(M, Opts);
-    ModelP = &M;
-    CurrentStamp = 0;
-    buildRaw(M, Lower, Upper);
-
-    Status.assign(NumCols, ColStatus::AtLower);
-    for (int Col = 0; Col < NumCols; ++Col)
-      Status[Col] = static_cast<ColStatus>(B.ColStatus[Col]);
-
-    Cost.assign(NumCols, 0.0);
-    CostRow.assign(NumCols, 0.0); // Zero during elimination pivots.
-
-    Basis.assign(NumRows, -1);
-    BasicValue.assign(NumRows, 0.0);
-    Scratch.clear();
-    for (int Col : B.BasicCols) {
-      if (Col < 0 || Col >= NumCols ||
-          Status[Col] != ColStatus::Basic)
-        return false; // Corrupt basis.
-      Scratch.push_back(Col);
-    }
-    for (int Col : Scratch) {
-      int BestRow = -1;
-      double BestMag = OptsP->PivotTol;
-      for (int Row = 0; Row < NumRows; ++Row) {
-        if (Basis[Row] >= 0)
-          continue;
-        double Mag = std::abs(tab(Row, Col));
-        if (Mag > BestMag) {
-          BestMag = Mag;
-          BestRow = Row;
-        }
-      }
-      if (BestRow < 0)
-        return false; // Numerically singular under the new row order.
-      Basis[BestRow] = Col;
-      applyPivot(BestRow, Col);
-      ++Refactors;
-    }
-  }
-
-  // Phase-2 costs and reduced costs. On the reused path Cost/CostRow are
-  // already current (the previous solve ended in phase 2); rebuild on the
-  // refactorized path.
-  if (!Reused) {
-    std::copy(Obj.begin(), Obj.begin() + NumStruct, Cost.begin());
-    rebuildCostRow();
-  }
-
-  snapNonbasicToBounds();
-  refreshBasicValues();
-  return dualFeasible();
-}
-
-void Tableau::rebuildCostRow() {
-  CostRow = Cost;
-  for (int Row = 0; Row < NumRows; ++Row) {
-    double CB = Cost[Basis[Row]];
-    if (CB == 0.0)
-      continue;
-    const double *RowPtr = &Tab[size_t(Row) * NumCols];
-    for (int Col = 0; Col < NumCols; ++Col)
-      CostRow[Col] -= CB * RowPtr[Col];
-  }
-  // Basic columns have zero reduced cost by construction; enforce exactly.
-  for (int Row = 0; Row < NumRows; ++Row)
-    CostRow[Basis[Row]] = 0.0;
-}
-
-void Tableau::refreshBasicValues() {
-  ++Refactors;
-  for (int Row = 0; Row < NumRows; ++Row) {
-    double V = Rhs[Row];
-    const double *RowPtr = &Tab[size_t(Row) * NumCols];
-    for (int Col = 0; Col < NumCols; ++Col) {
-      if (Status[Col] == ColStatus::Basic)
-        continue;
-      double X = restingValue(Col);
-      if (X != 0.0)
-        V -= RowPtr[Col] * X;
-    }
-    BasicValue[Row] = V;
-  }
-}
-
-void Tableau::applyPivot(int LeaveRow, int Enter) {
-  double Pivot = tab(LeaveRow, Enter);
-  assert(std::abs(Pivot) > OptsP->PivotTol && "pivot too small");
-  double *PivRow = &Tab[size_t(LeaveRow) * NumCols];
-  double InvPivot = 1.0 / Pivot;
-  for (int Col = 0; Col < NumCols; ++Col)
-    PivRow[Col] *= InvPivot;
-  Rhs[LeaveRow] *= InvPivot;
-  PivRow[Enter] = 1.0;
-  for (int Row = 0; Row < NumRows; ++Row) {
-    if (Row == LeaveRow)
-      continue;
-    double Factor = tab(Row, Enter);
-    if (Factor == 0.0)
-      continue;
-    double *RowPtr = &Tab[size_t(Row) * NumCols];
-    for (int Col = 0; Col < NumCols; ++Col)
-      RowPtr[Col] -= Factor * PivRow[Col];
-    RowPtr[Enter] = 0.0; // Exactly zero, despite roundoff.
-    Rhs[Row] -= Factor * Rhs[LeaveRow];
-  }
-  double CostFactor = CostRow[Enter];
-  if (CostFactor != 0.0) {
-    for (int Col = 0; Col < NumCols; ++Col)
-      CostRow[Col] -= CostFactor * PivRow[Col];
-    CostRow[Enter] = 0.0;
-  }
-  ++PivotsSinceFactor;
-}
-
-void Tableau::snapNonbasicToBounds() {
-  for (int Col = 0; Col < NumCols; ++Col) {
-    switch (Status[Col]) {
-    case ColStatus::Basic:
-      continue;
-    case ColStatus::AtLower:
-      if (std::isfinite(Lo[Col]))
-        continue;
-      break;
-    case ColStatus::AtUpper:
-      if (std::isfinite(Up[Col]))
-        continue;
-      break;
-    case ColStatus::Free:
-      if (!std::isfinite(Lo[Col]) && !std::isfinite(Up[Col]))
-        continue;
-      break;
-    }
-    // Re-rest on a finite bound compatible with the reduced-cost sign
-    // (cr >= 0 prefers the lower bound, cr <= 0 the upper); the
-    // dual-feasibility check after snapping rejects incompatible cases.
-    bool LoOk = std::isfinite(Lo[Col]), UpOk = std::isfinite(Up[Col]);
-    if (LoOk && (CostRow[Col] >= 0.0 || !UpOk))
-      Status[Col] = ColStatus::AtLower;
-    else if (UpOk)
-      Status[Col] = ColStatus::AtUpper;
-    else
-      Status[Col] = ColStatus::Free;
-  }
-}
-
-bool Tableau::dualFeasible() const {
-  for (int Col = 0; Col < NumCols; ++Col) {
-    if (Status[Col] == ColStatus::Basic || Lo[Col] == Up[Col])
-      continue;
-    double Cr = CostRow[Col];
-    switch (Status[Col]) {
-    case ColStatus::AtLower:
-      if (Cr < -DualFeasTol)
-        return false;
-      break;
-    case ColStatus::AtUpper:
-      if (Cr > DualFeasTol)
-        return false;
-      break;
-    case ColStatus::Free:
-      if (std::abs(Cr) > DualFeasTol)
-        return false;
-      break;
-    case ColStatus::Basic:
-      break;
-    }
-  }
-  return true;
-}
-
-int Tableau::chooseEntering(bool Bland) const {
-  int Best = -1;
-  double BestScore = OptsP->OptTol;
-  for (int Col = 0; Col < NumCols; ++Col) {
-    if (Status[Col] == ColStatus::Basic)
-      continue;
-    if (Lo[Col] == Up[Col])
-      continue; // Fixed column can never improve.
-    double Score = 0.0;
-    switch (Status[Col]) {
-    case ColStatus::AtLower:
-      Score = -CostRow[Col]; // Improves by increasing.
-      break;
-    case ColStatus::AtUpper:
-      Score = CostRow[Col]; // Improves by decreasing.
-      break;
-    case ColStatus::Free:
-      Score = std::abs(CostRow[Col]);
-      break;
-    case ColStatus::Basic:
-      break;
-    }
-    if (Score <= OptsP->OptTol)
-      continue;
-    if (Bland)
-      return Col; // Smallest eligible index.
-    if (Score > BestScore) {
-      BestScore = Score;
-      Best = Col;
-    }
-  }
-  return Best;
-}
-
-LpStatus Tableau::iterate(bool PhaseOne) {
-  rebuildCostRow();
-  int DegenerateRun = 0;
-  bool Bland = false;
-  for (;;) {
-    if (budgetExceeded())
-      return LpStatus::IterationLimit;
-
-    int Enter = chooseEntering(Bland);
-    if (Enter < 0)
-      return LpStatus::Optimal;
-
-    // Direction the entering variable moves.
-    double Dir = 1.0;
-    if (Status[Enter] == ColStatus::AtUpper)
-      Dir = -1.0;
-    else if (Status[Enter] == ColStatus::Free)
-      Dir = CostRow[Enter] < 0 ? 1.0 : -1.0;
-
-    // Ratio test: the step is limited by the entering column's own span
-    // (a bound flip) and by each basic variable hitting one of its
-    // bounds. Ties between rows prefer the larger |pivot| (stability), or
-    // the smallest basis index under Bland's rule.
-    double BestT = Up[Enter] - Lo[Enter]; // May be +inf (free/one-sided).
-    int LeaveRow = -1;
-    double LeavePivot = 0.0;
-    bool LeaveAtUpper = false;
-    for (int Row = 0; Row < NumRows; ++Row) {
-      double Alpha = tab(Row, Enter);
-      if (std::abs(Alpha) <= OptsP->PivotTol)
-        continue;
-      double Rate = -Dir * Alpha; // d(BasicValue[Row]) / dStep.
-      int BV = Basis[Row];
-      double T;
-      bool HitsUpper;
-      if (Rate < 0) {
-        if (!std::isfinite(Lo[BV]))
-          continue;
-        T = (BasicValue[Row] - Lo[BV]) / -Rate;
-        HitsUpper = false;
-      } else {
-        if (!std::isfinite(Up[BV]))
-          continue;
-        T = (Up[BV] - BasicValue[Row]) / Rate;
-        HitsUpper = true;
-      }
-      if (T < 0)
-        T = 0; // Roundoff pushed a basic value slightly out of bounds.
-      bool Take = false;
-      if (T < BestT - 1e-12) {
-        Take = true;
-      } else if (LeaveRow >= 0 && T <= BestT + 1e-12) {
-        Take = Bland ? BV < Basis[LeaveRow]
-                     : std::abs(Alpha) > std::abs(LeavePivot);
-      }
-      if (Take) {
-        BestT = std::min(BestT, T);
-        LeaveRow = Row;
-        LeavePivot = Alpha;
-        LeaveAtUpper = HitsUpper;
-      }
-    }
-
-    if (LeaveRow < 0 && !std::isfinite(BestT)) {
-      assert(!PhaseOne && "phase-1 objective is bounded below by zero");
-      return LpStatus::Unbounded;
-    }
-
-    ++Iters;
-    if (BestT <= OptsP->FeasTol) {
-      ++Degenerate;
-      if (++DegenerateRun > OptsP->DegenerateLimit)
-        Bland = true;
-    } else {
-      DegenerateRun = 0;
-      Bland = false;
-    }
-
-    // Apply the step to all basic values.
-    if (BestT > 0) {
-      for (int Row = 0; Row < NumRows; ++Row) {
-        double Alpha = tab(Row, Enter);
-        if (Alpha != 0.0)
-          BasicValue[Row] -= Dir * BestT * Alpha;
-      }
-    }
-
-    if (LeaveRow < 0) {
-      // Pure bound flip: the entering variable moves to its other bound.
-      ++Flips;
-      assert(std::isfinite(BestT) && "flip distance must be finite");
-      Status[Enter] = Status[Enter] == ColStatus::AtLower
-                          ? ColStatus::AtUpper
-                          : ColStatus::AtLower;
-      continue;
-    }
-
-    // Pivot: Enter becomes basic in LeaveRow; the old basic variable
-    // leaves at the bound it hit.
-    int Leave = Basis[LeaveRow];
-    double EnterValue = restingValue(Enter) + Dir * BestT;
-    Status[Leave] = LeaveAtUpper ? ColStatus::AtUpper : ColStatus::AtLower;
-    Status[Enter] = ColStatus::Basic;
-    Basis[LeaveRow] = Enter;
-    BasicValue[LeaveRow] = EnterValue;
-
-    applyPivot(LeaveRow, Enter);
-
-    // Periodically flush floating-point drift in the basic values.
-    if (Iters % 256 == 0)
-      refreshBasicValues();
-  }
-}
-
-LpStatus Tableau::dualIterate() {
-  int DegenerateRun = 0;
-  bool Bland = false;
-  for (;;) {
-    if (budgetExceeded())
-      return LpStatus::IterationLimit;
-
-    // Leaving row: the most-violated basic variable (its bound violation
-    // is the dual pricing score).
-    int LeaveRow = -1;
-    double BestViol = OptsP->FeasTol;
-    bool ViolUpper = false;
-    for (int Row = 0; Row < NumRows; ++Row) {
-      int BV = Basis[Row];
-      double V = BasicValue[Row];
-      double Below = Lo[BV] - V;
-      double Above = V - Up[BV];
-      if (Below > BestViol) {
-        BestViol = Below;
-        LeaveRow = Row;
-        ViolUpper = false;
-      }
-      if (Above > BestViol) {
-        BestViol = Above;
-        LeaveRow = Row;
-        ViolUpper = true;
-      }
-    }
-    if (LeaveRow < 0)
-      return LpStatus::Optimal; // Primal feasible again.
-
-    // Entering column: must be able to move (in its allowed direction)
-    // so the violated basic value heads back toward its bound; among
-    // candidates, the smallest dual ratio |reduced cost| / |alpha| keeps
-    // every other reduced cost's sign after the pivot. Ties prefer the
-    // larger |alpha| (stability), or the smallest index under the
-    // Bland-style anti-cycling fallback.
-    int Enter = -1;
-    double BestRatio = infinity();
-    double BestAlpha = 0.0;
-    double EnterDir = 0.0;
-    const double *LeavePtr = &Tab[size_t(LeaveRow) * NumCols];
-    for (int Col = 0; Col < NumCols; ++Col) {
-      if (Status[Col] == ColStatus::Basic || Lo[Col] == Up[Col])
-        continue;
-      double Alpha = LeavePtr[Col];
-      if (std::abs(Alpha) <= OptsP->PivotTol)
-        continue;
-      // Moving Col by t*D changes BasicValue[LeaveRow] by -t*D*Alpha;
-      // a violated upper bound needs a decrease, a lower an increase.
-      double D;
-      if (Status[Col] == ColStatus::Free) {
-        D = ViolUpper ? (Alpha > 0 ? 1.0 : -1.0)
-                      : (Alpha > 0 ? -1.0 : 1.0);
-      } else {
-        D = Status[Col] == ColStatus::AtLower ? 1.0 : -1.0;
-        bool Helps = ViolUpper ? D * Alpha > 0 : D * Alpha < 0;
-        if (!Helps)
-          continue;
-      }
-      double Cr = CostRow[Col];
-      double AbsCr = Status[Col] == ColStatus::AtLower
-                         ? std::max(0.0, Cr)
-                         : Status[Col] == ColStatus::AtUpper
-                               ? std::max(0.0, -Cr)
-                               : std::abs(Cr);
-      double Ratio = AbsCr / std::abs(Alpha);
-      bool Take = false;
-      if (Enter < 0 || Ratio < BestRatio - 1e-12)
-        Take = true;
-      else if (Ratio <= BestRatio + 1e-12)
-        Take = Bland ? Col < Enter
-                     : std::abs(Alpha) > std::abs(BestAlpha);
-      if (Take) {
-        Enter = Col;
-        BestRatio = std::min(Ratio, BestRatio);
-        BestAlpha = Alpha;
-        EnterDir = D;
-      }
-    }
-    if (Enter < 0) {
-      // No movement of any nonbasic column can repair the violated row:
-      // the row itself certifies emptiness of the bound box (a Farkas
-      // certificate independent of the reduced costs).
-      recordFarkasRow(LeaveRow);
-      return LpStatus::Infeasible;
-    }
-
-    ++Iters;
-    ++DualIters;
-    if (BestRatio <= OptsP->OptTol) {
-      ++Degenerate;
-      if (++DegenerateRun > OptsP->DegenerateLimit)
-        Bland = true;
-    } else {
-      DegenerateRun = 0;
-      Bland = false;
-    }
-
-    // Step length: drive the leaving variable exactly onto its violated
-    // bound. The entering variable may overshoot its own far bound — it
-    // then becomes the (smaller) primal infeasibility of a later dual
-    // pivot, which is standard for the bounded-variable dual simplex.
-    double T = BestViol / std::abs(tab(LeaveRow, Enter));
-    for (int Row = 0; Row < NumRows; ++Row) {
-      double Alpha = tab(Row, Enter);
-      if (Alpha != 0.0)
-        BasicValue[Row] -= EnterDir * T * Alpha;
-    }
-
-    int Leave = Basis[LeaveRow];
-    double EnterValue = restingValue(Enter) + EnterDir * T;
-    Status[Leave] = ViolUpper ? ColStatus::AtUpper : ColStatus::AtLower;
-    Status[Enter] = ColStatus::Basic;
-    Basis[LeaveRow] = Enter;
-    BasicValue[LeaveRow] = EnterValue;
-
-    applyPivot(LeaveRow, Enter);
-
-    if (Iters % 256 == 0)
-      refreshBasicValues();
-  }
-}
-
-LpStatus Tableau::run() {
-  if (NumCols > FirstArtificial) {
-    // Phase 1: minimize the sum of the artificial columns.
-    std::fill(Cost.begin(), Cost.end(), 0.0);
-    for (int Col = FirstArtificial; Col < NumCols; ++Col)
-      Cost[Col] = 1.0;
-    LpStatus S = iterate(/*PhaseOne=*/true);
-    Phase1Iters = Iters;
-    if (S == LpStatus::IterationLimit)
-      return S;
-    assert(S == LpStatus::Optimal && "phase 1 cannot be unbounded");
-    refreshBasicValues();
-    double Infeasibility = 0.0;
-    for (int Row = 0; Row < NumRows; ++Row)
-      if (Basis[Row] >= FirstArtificial)
-        Infeasibility += std::max(0.0, BasicValue[Row]);
-    for (int Col = FirstArtificial; Col < NumCols; ++Col)
-      if (Status[Col] == ColStatus::AtUpper) // Unbounded above: impossible.
-        assert(false && "artificial nonbasic at infinite bound");
-    if (Infeasibility > 1e-6) {
-      // Each residual artificial's tableau row certifies infeasibility;
-      // their slack supports localize it to model rows.
-      for (int Row = 0; Row < NumRows; ++Row)
-        if (Basis[Row] >= FirstArtificial && BasicValue[Row] > 1e-6)
-          recordFarkasRow(Row);
-      return LpStatus::Infeasible;
-    }
-    // Pin the artificials at zero for phase 2. Basic artificials at value
-    // ~zero are harmless: their [0,0] bounds block any move away from 0.
-    for (int Col = FirstArtificial; Col < NumCols; ++Col) {
-      Lo[Col] = 0.0;
-      Up[Col] = 0.0;
-    }
-  }
-
-  // Phase 2: the real objective on the structural columns.
-  std::fill(Cost.begin(), Cost.end(), 0.0);
-  std::copy(Obj.begin(), Obj.end(), Cost.begin());
-  LpStatus S = iterate(/*PhaseOne=*/false);
-  if (S == LpStatus::Optimal)
-    refreshBasicValues();
-  return S;
-}
-
-LpStatus Tableau::runWarm() {
-  LpStatus S = dualIterate();
-  if (S != LpStatus::Optimal)
-    return S;
-  // Primal clean-up: the dual loop restored primal feasibility; a primal
-  // pass from the (rebuilt) reduced costs polishes any drifted
-  // optimality violations — usually zero pivots.
-  S = iterate(/*PhaseOne=*/false);
-  if (S == LpStatus::Optimal)
-    refreshBasicValues();
-  return S;
-}
-
-bool Tableau::extractBasis(lp::Basis &Out) {
-  // Drive any residual degenerate artificial out of the basis with a
-  // zero-step pivot so the exported basis only references structural and
-  // slack columns (which a re-solve can rebuild from the model).
-  for (int Row = 0; Row < NumRows; ++Row) {
-    if (Basis[Row] < FirstArtificial)
-      continue;
-    int Best = -1;
-    double BestMag = OptsP->PivotTol;
-    for (int Col = 0; Col < FirstArtificial; ++Col) {
-      if (Status[Col] == ColStatus::Basic)
-        continue;
-      double Mag = std::abs(tab(Row, Col));
-      if (Mag > BestMag) {
-        BestMag = Mag;
-        Best = Col;
-      }
-    }
-    if (Best < 0)
-      return false; // Structurally redundant row; basis not exportable.
-    double EnterValue = restingValue(Best);
-    Status[Basis[Row]] = ColStatus::AtLower; // Artificial rests at [0,0].
-    Status[Best] = ColStatus::Basic;
-    Basis[Row] = Best;
-    BasicValue[Row] = EnterValue;
-    applyPivot(Row, Best);
-  }
-
-  Out.ColStatus.resize(FirstArtificial);
-  for (int Col = 0; Col < FirstArtificial; ++Col)
-    Out.ColStatus[Col] = static_cast<uint8_t>(Status[Col]);
-  Out.BasicCols.assign(Basis.begin(), Basis.end());
-  Out.Id = 0; // Caller stamps.
-  return true;
-}
-
-std::vector<double> Tableau::structuralValues() const {
-  std::vector<double> X(NumStruct, 0.0);
-  for (int Col = 0; Col < NumStruct; ++Col)
-    if (Status[Col] != ColStatus::Basic)
-      X[Col] = restingValue(Col);
-  for (int Row = 0; Row < NumRows; ++Row)
-    if (Basis[Row] < NumStruct)
-      X[Basis[Row]] = BasicValue[Row];
-  return X;
-}
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // SimplexWorkspace
 //===----------------------------------------------------------------------===//
 
-struct SimplexWorkspace::State {
-  /// Dense engine state: the explicit tableau.
-  Tableau T;
-  /// Sparse engine state: compiled matrix + LU factorization + scratch.
-  /// Both live side by side so a solve sequence may switch engines (a
-  /// basis stamped by one engine simply takes the other's rebuild path).
-  SparseRevisedSimplex Sparse;
-};
-
-SimplexWorkspace::SimplexWorkspace() : S(std::make_unique<State>()) {}
+SimplexWorkspace::SimplexWorkspace()
+    : Engine(std::make_unique<SparseRevisedSimplex>()) {}
 SimplexWorkspace::~SimplexWorkspace() = default;
 SimplexWorkspace::SimplexWorkspace(SimplexWorkspace &&) noexcept = default;
 SimplexWorkspace &
@@ -1091,19 +94,17 @@ LpResult SimplexSolver::solve(const Model &M) {
 
 namespace {
 
-/// Engine-generic solve flow: warm attempt (with cold fallback), the
-/// appropriate run loop, telemetry, and basis export. \p EngineT is
-/// Tableau or SparseRevisedSimplex — both expose the same lifecycle
-/// (setContext / initCold / tryInitWarm / run / runWarm / extractBasis /
-/// stamp / invalidateStamp / structuralValues and the stat accessors).
-template <typename EngineT>
-LpResult solveWithEngine(EngineT &E, const Model &M,
-                         const std::vector<double> &Lower,
-                         const std::vector<double> &Upper,
-                         const SimplexOptions &Opts, SolveContext *Ctx,
-                         const Basis *Start, bool Persistent) {
+/// The solve flow on engine \p E: warm attempt (with cold fallback), the
+/// matching run loop, telemetry, certificate and basis export. \p E is
+/// \p Ctx's workspace engine when \p Ctx is set, else a one-shot local.
+LpResult solveWith(SparseRevisedSimplex &E, const Model &M,
+                   const std::vector<double> &Lower,
+                   const std::vector<double> &Upper,
+                   const SimplexOptions &Opts, SolveContext *Ctx,
+                   const Basis *Start) {
   LpResult Result;
   E.setContext(Ctx);
+  const bool Persistent = Ctx != nullptr;
 
   bool Warm = false;
   if (Persistent && Start && !Start->empty()) {
@@ -1142,12 +143,13 @@ LpResult solveWithEngine(EngineT &E, const Model &M,
     StatWarmIterations += Result.Iterations;
   if (S == LpStatus::Infeasible) {
     ++StatInfeasible;
-    if (Opts.CollectFarkas) {
+    if (Opts.CollectCertificate) {
       Result.FarkasRows = E.farkasRows();
       std::sort(Result.FarkasRows.begin(), Result.FarkasRows.end());
       Result.FarkasRows.erase(
           std::unique(Result.FarkasRows.begin(), Result.FarkasRows.end()),
           Result.FarkasRows.end());
+      Result.Duals = E.farkasRay();
     }
   }
 
@@ -1158,6 +160,8 @@ LpResult solveWithEngine(EngineT &E, const Model &M,
   }
   Result.Values = E.structuralValues();
   Result.Objective = M.evaluateObjective(Result.Values);
+  if (Opts.CollectCertificate)
+    Result.Duals = E.rowDuals();
 
   // Export the optimal basis for future warm starts (workspace callers
   // only: the stamp ties it to the persisted engine state).
@@ -1182,7 +186,8 @@ LpResult SimplexSolver::solve(const Model &M,
   telemetry::TimerScope Time(TimeSolve);
   ++StatSolves;
 
-  // An empty bound interval anywhere makes the node trivially infeasible.
+  // An empty bound interval anywhere makes the node trivially infeasible
+  // (the empty box is its own certificate; see lp/Certificate.h).
   for (int Col = 0; Col < M.numVariables(); ++Col)
     if (Lower[Col] > Upper[Col]) {
       ++StatInfeasible;
@@ -1191,15 +196,9 @@ LpResult SimplexSolver::solve(const Model &M,
 
   // Context-less calls get a one-shot local engine (and no deadline or
   // cancellation to observe).
-  SimplexWorkspace *Workspace = Ctx ? &Ctx->Workspace : nullptr;
-  if (Opts.Engine == SimplexEngine::SparseRevised) {
-    SparseRevisedSimplex Local;
-    SparseRevisedSimplex &E = Workspace ? Workspace->S->Sparse : Local;
-    return solveWithEngine(E, M, Lower, Upper, Opts, Ctx, Start,
-                           Workspace != nullptr);
-  }
-  Tableau Local;
-  Tableau &E = Workspace ? Workspace->S->T : Local;
-  return solveWithEngine(E, M, Lower, Upper, Opts, Ctx, Start,
-                         Workspace != nullptr);
+  if (Ctx)
+    return solveWith(*Ctx->Workspace.Engine, M, Lower, Upper, Opts, Ctx,
+                     Start);
+  SparseRevisedSimplex Local;
+  return solveWith(Local, M, Lower, Upper, Opts, nullptr, Start);
 }

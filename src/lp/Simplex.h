@@ -5,34 +5,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dense bounded-variable simplex solver with two entry points: a
-/// two-phase primal simplex for cold solves and a warm-startable dual
-/// simplex for re-solves from a known basis after bound changes. It is
-/// the LP engine underneath the branch-and-bound MIP solver (src/ilp)
-/// that substitutes for the CPLEX solver used in the paper — including
-/// CPLEX's defining trick of never cold-starting an LP inside the
-/// branch-and-bound tree.
+/// The LP solver interface: a bounded-variable simplex with two entry
+/// points, a two-phase primal simplex for cold solves and a
+/// warm-startable dual simplex for re-solves from a known basis after
+/// bound changes. It is the LP engine underneath the branch-and-bound
+/// MIP solver (src/ilp) that substitutes for the CPLEX solver used in
+/// the paper — including CPLEX's defining trick of never cold-starting
+/// an LP inside the branch-and-bound tree.
 ///
 /// Implementation notes:
+///  * One engine executes every solve: the sparse revised simplex of
+///    lp/SparseRevisedSimplex.h (LU-factorized basis, eta updates,
+///    hyper-sparse FTRAN/BTRAN, partial pricing).
 ///  * Every constraint row gets a slack variable with bounds encoding the
 ///    sense (LE: [0, inf), GE: (-inf, 0], EQ: [0, 0]); the system becomes
 ///    Ax + Is = b.
-///  * Nonbasic variables rest at one of their finite bounds (or 0 when
-///    free); phase 1 introduces artificial columns only for rows whose
-///    slack cannot absorb the initial residual, and minimizes the sum of
-///    artificials.
-///  * Pricing is Dantzig (most negative reduced cost) with an automatic
-///    switch to Bland's rule after a run of degenerate pivots, which
-///    guarantees termination.
-///  * The ratio test handles bound flips of the entering variable.
 ///  * Warm starts: an optimal solve can export its Basis; a later solve
 ///    of the same model with tightened bounds (exactly the state after a
 ///    branch-and-bound bound change) restarts from that basis — which is
 ///    still dual-feasible — and runs the dual simplex until primal
 ///    feasibility is restored, typically in a handful of pivots. When the
-///    caller also passes a persistent SimplexWorkspace the tableau is
-///    reused in place (no refactorization at all) whenever the workspace
-///    still holds the requested basis.
+///    caller also passes a persistent SimplexWorkspace the factorization
+///    is reused in place whenever the workspace still holds the
+///    requested basis.
+///  * Answers are checkable without trusting the engine: under
+///    SimplexOptions::CollectCertificate a result carries the row duals
+///    (Optimal) or a Farkas ray (Infeasible) that lp/Certificate.h
+///    verifies from the model alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +47,8 @@
 namespace modsched {
 namespace lp {
 
-struct SolveContext; // lp/SolveContext.h
+struct SolveContext;        // lp/SolveContext.h
+class SparseRevisedSimplex; // lp/SparseRevisedSimplex.h
 
 /// Outcome of an LP solve.
 enum class LpStatus {
@@ -61,24 +61,12 @@ enum class LpStatus {
 /// Returns a printable name for \p Status.
 const char *toString(LpStatus Status);
 
-/// Which LP engine executes a solve. Dense is the original explicit
-/// m x n tableau (O(m*n) per pivot); SparseRevised is the revised
-/// simplex over a compiled sparse matrix with an LU-factorized basis,
-/// eta updates, and hyper-sparse FTRAN/BTRAN (lp/SparseRevisedSimplex.h)
-/// — the fast path for the paper's 0-1-structured models.
-enum class SimplexEngine : uint8_t { Dense, SparseRevised };
+/// The LP engine executing a solve. There is one; the enum and the
+/// option fields naming it remain so existing callers still compile.
+enum class SimplexEngine : uint8_t { SparseRevised };
 
-/// Returns a printable name for \p Engine ("dense" / "sparse_revised").
-const char *toString(SimplexEngine Engine);
-
-/// The process-default engine: SparseRevised, overridable once at
-/// startup with MODSCHED_LP_ENGINE=dense|sparse (unrecognized values
-/// warn to stderr and keep the default). Read lazily and cached.
-SimplexEngine defaultSimplexEngine();
-
-/// Where a column rests in an exported simplex basis. Shared by both
-/// engines (Basis::ColStatus stores these raw values), which is what
-/// makes bases interchangeable across the engine seam.
+/// Where a column rests in an exported simplex basis (Basis::ColStatus
+/// stores these raw values).
 enum class ColState : uint8_t { Basic, AtLower, AtUpper, Free };
 
 /// Tuning knobs for the simplex solver.
@@ -100,24 +88,23 @@ struct SimplexOptions {
   /// Number of consecutive degenerate pivots before switching to Bland's
   /// rule.
   int DegenerateLimit = 512;
-  /// Dense-tableau drift guard for warm starts: after this many pivots
-  /// have accumulated in a workspace tableau since its last fresh
-  /// factorization, the next warm solve refactorizes from the original
-  /// constraint matrix instead of reusing the tableau in place.
+  /// Drift guard for warm starts: after this many pivots since the
+  /// workspace's last fresh factorization, the next warm solve
+  /// refactorizes the requested basis instead of reusing it in place.
   int64_t WarmRebuildPivots = 4096;
-  /// Engine executing the solve (see SimplexEngine).
-  SimplexEngine Engine = defaultSimplexEngine();
-  /// Sparse engine: refactorize the basis after this many product-form
-  /// eta updates.
+  /// Engine executing the solve; kept so callers that set it compile.
+  SimplexEngine Engine = SimplexEngine::SparseRevised;
+  /// Refactorize the basis after this many product-form eta updates.
   int RefactorEtaLimit = 64;
-  /// Sparse engine: refactorize early when the eta file's nonzeros
-  /// exceed this multiple of (rows + LU nonzeros) — the fill guard.
+  /// Refactorize early when the eta file's nonzeros exceed this
+  /// multiple of (rows + LU nonzeros) — the fill guard.
   double RefactorFillFactor = 4.0;
-  /// On an Infeasible exit, record the constraint rows supporting the
-  /// infeasibility certificate (the Farkas ray's slack support) in
-  /// LpResult::FarkasRows. Off by default: the scan is cheap but not
-  /// free, and only forensics consumers want it.
-  bool CollectFarkas = false;
+  /// Export the certificate of the verdict: LpResult::Duals on Optimal
+  /// and Infeasible exits, plus the Farkas ray's row support in
+  /// LpResult::FarkasRows on Infeasible ones. Off by default: the scan
+  /// is cheap but not free, and only forensics consumers and tests want
+  /// it.
+  bool CollectCertificate = false;
 };
 
 /// An exported simplex basis: the resting status of every [structural |
@@ -131,20 +118,21 @@ struct Basis {
   std::vector<uint8_t> ColStatus;
   /// BasicCols[row] = column index basic in that row.
   std::vector<int> BasicCols;
-  /// Workspace stamp identifying the tableau state this basis was
+  /// Workspace stamp identifying the engine state this basis was
   /// extracted from (0 = none); lets a warm solve detect in O(1) that
-  /// the workspace tableau already realizes this basis.
+  /// the workspace already realizes this basis.
   uint64_t Id = 0;
 
   bool empty() const { return BasicCols.empty(); }
 };
 
-/// Persistent scratch state for a sequence of solves: the dense tableau,
-/// pricing and ratio-test buffers, and the identity of the basis the
-/// tableau currently realizes. Hoisting one workspace out of the
-/// branch-and-bound node loop eliminates the per-node tableau
-/// reallocation and enables zero-refactorization warm starts whenever
-/// consecutive solves walk parent -> child in the search tree.
+/// Persistent scratch state for a sequence of solves: the compiled
+/// constraint matrix, the basis factorization, pricing and ratio-test
+/// buffers, and the identity of the basis the engine currently
+/// realizes. Hoisting one workspace out of the branch-and-bound node
+/// loop eliminates per-node reallocation and enables
+/// zero-refactorization warm starts whenever consecutive solves walk
+/// parent -> child in the search tree.
 class SimplexWorkspace {
 public:
   SimplexWorkspace();
@@ -156,8 +144,7 @@ public:
 
 private:
   friend class SimplexSolver;
-  struct State;
-  std::unique_ptr<State> S;
+  std::unique_ptr<SparseRevisedSimplex> Engine;
 };
 
 /// Result of an LP solve.
@@ -177,26 +164,31 @@ struct LpResult {
   int64_t DegeneratePivots = 0;
   /// Entering-variable bound flips (pivots that changed no basis entry).
   int64_t BoundFlips = 0;
-  /// Periodic refreshes of the basic values from the tableau (the dense
-  /// analogue of a basis refactorization).
+  /// LU (re)factorizations of the basis, including the initial one.
   int64_t Refactorizations = 0;
   /// Pivots spent in phase 1 (driving artificials out of the basis).
   int64_t Phase1Iterations = 0;
   /// Pivots spent in the warm-start dual simplex (subset of Iterations).
   int64_t DualIterations = 0;
-  /// Product-form eta nonzeros appended to the basis factorization
-  /// (sparse engine only; 0 for dense solves).
+  /// Product-form eta nonzeros appended to the basis factorization.
   int64_t EtaNonzeros = 0;
   /// True when this solve restarted from a caller-provided basis and ran
   /// the dual simplex (false for cold two-phase primal solves, including
   /// warm attempts that had to fall back).
   bool WarmStarted = false;
-  /// With SimplexOptions::CollectFarkas, on Status == Infeasible: the
-  /// model rows supporting the infeasibility certificate — the nonzero
-  /// slack columns of the dual simplex's terminal ray, or the residual
-  /// artificial rows' slack supports after phase 1. A subset of rows
-  /// that is itself infeasible under the solved bounds.
+  /// With SimplexOptions::CollectCertificate, on Status == Infeasible:
+  /// the model rows supporting the infeasibility certificate — the
+  /// nonzero slack columns of the dual simplex's terminal ray, or the
+  /// residual artificial rows' slack supports after phase 1. A subset
+  /// of rows that is itself infeasible under the solved bounds.
   std::vector<int> FarkasRows;
+  /// With SimplexOptions::CollectCertificate, one multiplier per model
+  /// row certifying the verdict (lp/Certificate.h checks it): the row
+  /// duals y of the optimum when Status == Optimal (reduced costs are
+  /// c - A'y), a Farkas ray when Status == Infeasible (y'(Ax) cannot
+  /// reach y'r for any row activities r the row senses allow). Empty
+  /// otherwise, and for the trivially infeasible empty bound box.
+  std::vector<double> Duals;
   /// The optimal basis of this solve, exportable to warm-start a later
   /// solve of the same model with tightened bounds. Only populated when
   /// Status == Optimal and the solve was given a SimplexWorkspace; empty
@@ -205,8 +197,8 @@ struct LpResult {
   Basis FinalBasis;
 };
 
-/// Dense bounded-variable simplex: two-phase primal for cold solves,
-/// dual simplex for warm re-solves from an exported basis.
+/// Bounded-variable simplex: two-phase primal for cold solves, dual
+/// simplex for warm re-solves from an exported basis.
 class SimplexSolver {
 public:
   explicit SimplexSolver(SimplexOptions Options = {}) : Opts(Options) {}
@@ -219,14 +211,14 @@ public:
   /// copying the whole model).
   ///
   /// \p Ctx, when non-null, supplies the per-attempt solve environment
-  /// (lp/SolveContext.h): its workspace persists the tableau and scratch
-  /// buffers across calls (and enables FinalBasis export), its deadline
+  /// (lp/SolveContext.h): its workspace persists the factorization and
+  /// scratch buffers across calls (and enables FinalBasis export), its deadline
   /// bounds this solve's wall-clock, and its cancellation token is
   /// polled every 64 pivots (both report LpStatus::IterationLimit; the
   /// caller disambiguates by asking the context). \p Start, when
   /// non-null and non-empty, requests a warm start from that basis: the
-  /// solver reuses the workspace tableau in place when it still
-  /// realizes the basis (otherwise refactorizes from the constraint
+  /// solver reuses the workspace factorization in place when it still
+  /// realizes the basis (otherwise refactorizes it from the constraint
   /// matrix) and runs the dual simplex, which is exact for the
   /// branch-and-bound pattern of a dual-feasible but primal-infeasible
   /// basis after a bound tightening. Falls back to the cold two-phase
@@ -240,13 +232,6 @@ public:
 private:
   SimplexOptions Opts;
 };
-
-namespace detail {
-/// Draws a fresh process-unique basis stamp. Both engines stamp
-/// exported bases from this shared atomic source, so a stamp uniquely
-/// identifies one engine state across the whole process.
-uint64_t takeBasisStamp();
-} // namespace detail
 
 } // namespace lp
 } // namespace modsched

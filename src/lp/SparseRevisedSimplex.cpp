@@ -3,11 +3,12 @@
 // Revised simplex over a compiled sparse matrix: LU-factorized basis
 // with product-form eta updates (lp/LuFactor), hyper-sparse
 // FTRAN/BTRAN, incremental reduced costs, and candidate-list partial
-// pricing. The pivot rules deliberately mirror lp/Simplex.cpp's dense
-// Tableau (same tolerances, same tie-breaks, same Bland anti-cycling
-// fallback, same two-phase / dual-simplex structure) so the engines are
-// interchangeable and differential-testable; only the linear algebra
-// underneath differs.
+// pricing escalating to Dantzig and then Bland's rule on degenerate
+// streaks. Cold solves run a two-phase primal; warm solves run the dual
+// simplex from an exported basis (Koberstein's "The dual simplex
+// method" for the dual ratio test with boxed variables). Ratio-test
+// ties break on (|alpha|, -index), independent of scatter order, so a
+// solve's pivot sequence is deterministic.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -44,7 +46,8 @@ modsched::telemetry::Counter
                     "BTRAN solves taking the hyper-sparse path");
 
 /// Reduced-cost sign tolerance for accepting a starting basis as
-/// dual-feasible (matches the dense engine).
+/// dual-feasible (slightly looser than OptTol to absorb drift
+/// accumulated across chained warm solves).
 constexpr double DualFeasTol = 1e-6;
 
 /// Partial pricing: size of the candidate list refilled from the
@@ -56,6 +59,11 @@ constexpr int CandListMax = 32;
 /// well below SimplexOptions::DegenerateLimit so the pricing ladder is
 /// partial -> Dantzig -> Bland.
 constexpr int DegeneratePricingLimit = 32;
+
+/// Process-unique stamp source for exported bases. Atomic: concurrent
+/// solve attempts (each under its own SolveContext) stamp bases from
+/// their own threads.
+std::atomic<uint64_t> NextBasisId{0};
 
 } // namespace
 
@@ -93,6 +101,7 @@ void SparseRevisedSimplex::beginSolve(const Model &M,
   Iters = Degenerate = Flips = Refactors = Phase1Iters = DualIters = 0;
   EtaNnzTotal = 0;
   FarkasSupport.clear();
+  Ray.clear();
   Clock.reset();
   NumRows = M.numConstraints();
   NumStruct = M.numVariables();
@@ -110,8 +119,7 @@ void SparseRevisedSimplex::layoutColumns(const Model &M,
     Obj[Col] = M.variable(Col).Objective;
 
   // Column bounds: structural variables first, then one slack per row
-  // whose bounds encode the constraint sense (same layout as the dense
-  // engine, which is what keeps Basis interchangeable).
+  // whose bounds encode the constraint sense.
   Lo.assign(Lower.begin(), Lower.end());
   Up.assign(Upper.begin(), Upper.end());
   Lo.resize(FirstArtificial);
@@ -357,7 +365,7 @@ void SparseRevisedSimplex::computeAlphaRow(int LeaveRow) {
 }
 
 void SparseRevisedSimplex::recordFarkasRow(int Row) {
-  if (!OptsP->CollectFarkas)
+  if (!OptsP->CollectCertificate)
     return;
   computeAlphaRow(Row);
   for (int Col : AlphaRow.Idx)
@@ -431,8 +439,8 @@ int SparseRevisedSimplex::chooseEntering(Pricing Mode) {
   }
 
   if (Mode == Pricing::Dantzig) {
-    // Degenerate-streak escalation: a full most-negative scan, exactly
-    // the dense engine's pricing. The candidate window's locally-best
+    // Degenerate-streak escalation: a full most-negative scan. The
+    // candidate window's locally-best
     // choice can stall indefinitely on a massively degenerate vertex
     // (phase-1 bases of the paper's structured models) where the
     // global best walks off the plateau; the stale window is dropped
@@ -518,8 +526,8 @@ LpStatus SparseRevisedSimplex::primalIterate(bool PhaseOne) {
     forEachColEntry(Enter, [&](int R, double V) { WCol.add(R, V); });
     Lu.ftran(WCol);
 
-    // Ratio test over the pivot column's nonzeros only; same step
-    // bound, tie-breaks, and bound-flip handling as the dense engine.
+    // Ratio test over the pivot column's nonzeros only, with bound
+    // flips of the entering variable.
     double BestT = Up[Enter] - Lo[Enter]; // May be +inf.
     int LeaveRow = -1;
     double LeavePivot = 0.0;
@@ -551,11 +559,9 @@ LpStatus SparseRevisedSimplex::primalIterate(bool PhaseOne) {
       } else if (LeaveRow >= 0 && T <= BestT + 1e-12) {
         // Order-independent tie-break: WCol.Idx lists the pivot
         // column's nonzeros in scatter order, so "first seen wins"
-        // would pick an arbitrary row where the dense engine's
-        // ascending scan picks the lowest. Maximize (|alpha|, -row)
-        // lexicographically instead, which reproduces the dense
-        // choice and keeps the B&B dives of the two engines on the
-        // same degenerate vertices.
+        // would pick an arbitrary row. Maximize (|alpha|, -row)
+        // lexicographically instead, the choice of an ascending scan,
+        // which keeps B&B dives on the same degenerate vertices.
         Take = Bland ? BV < BasisCol[LeaveRow]
                      : (std::abs(Alpha) > std::abs(LeavePivot) ||
                         (std::abs(Alpha) == std::abs(LeavePivot) &&
@@ -650,8 +656,7 @@ LpStatus SparseRevisedSimplex::dualIterate() {
     if (LeaveRow < 0)
       return LpStatus::Optimal; // Primal feasible again.
 
-    // Dual ratio test over the (hyper-sparse) pivot row; mirrors the
-    // dense engine's candidate filter, ratio, and tie-breaks.
+    // Dual ratio test over the (hyper-sparse) pivot row.
     computeAlphaRow(LeaveRow);
     int Enter = -1;
     double BestRatio = infinity();
@@ -687,10 +692,10 @@ LpStatus SparseRevisedSimplex::dualIterate() {
       else if (Ratio <= BestRatio + 1e-12)
         // Order-independent tie-break (AlphaRow.Idx is in scatter
         // order): maximize (|alpha|, -column) lexicographically, the
-        // choice the dense engine's ascending column scan makes. On
-        // the zero-objective LPs of feasibility-only scheduling MIPs
-        // every ratio ties at 0 and the pivot row is all +-1, so this
-        // is what keeps both engines diving through the same vertices.
+        // choice an ascending column scan makes. On the zero-objective
+        // LPs of feasibility-only scheduling MIPs every ratio ties at 0
+        // and the pivot row is all +-1, so this is what keeps the dive
+        // on the same vertices whatever the scatter order.
         Take = Bland ? Col < Enter
                      : (std::abs(Alpha) > std::abs(BestAlpha) ||
                         (std::abs(Alpha) == std::abs(BestAlpha) &&
@@ -704,8 +709,14 @@ LpStatus SparseRevisedSimplex::dualIterate() {
     }
     if (Enter < 0) {
       // No nonbasic movement can repair the violated row: the row is a
-      // Farkas certificate of an empty bound box.
+      // Farkas certificate of an empty bound box, and its BTRAN image
+      // rho = B^-T e_r (left in Rho) is the ray.
       recordFarkasRow(LeaveRow);
+      if (OptsP->CollectCertificate) {
+        Ray.assign(NumRows, 0.0);
+        for (int R : Rho.Idx)
+          Ray[R] = Rho.Val[R];
+      }
       return LpStatus::Infeasible;
     }
 
@@ -773,6 +784,10 @@ LpStatus SparseRevisedSimplex::run() {
       for (int Row = 0; Row < NumRows; ++Row)
         if (BasisCol[Row] >= FirstArtificial && XB[Row] > 1e-6)
           recordFarkasRow(Row);
+      // The phase-1 duals are the ray: y'(Ax + s) stays below y'b by
+      // the residual infeasibility over the whole bound box.
+      if (OptsP->CollectCertificate)
+        Ray = rowDuals();
       return LpStatus::Infeasible;
     }
     // Pin the artificials at zero for phase 2; basic artificials at
@@ -811,8 +826,8 @@ LpStatus SparseRevisedSimplex::runWarm() {
 
 bool SparseRevisedSimplex::extractBasis(Basis &Out) {
   // Drive any residual degenerate artificial out of the basis with a
-  // zero-step pivot, as the dense engine does, so the exported basis
-  // only references structural and slack columns.
+  // zero-step pivot, so the exported basis only references structural
+  // and slack columns.
   for (int Row = 0; Row < NumRows; ++Row) {
     if (BasisCol[Row] < FirstArtificial)
       continue;
@@ -856,8 +871,15 @@ bool SparseRevisedSimplex::extractBasis(Basis &Out) {
 }
 
 void SparseRevisedSimplex::stamp(Basis &B) {
-  B.Id = detail::takeBasisStamp();
+  B.Id = NextBasisId.fetch_add(1, std::memory_order_relaxed) + 1;
   CurrentStamp = B.Id;
+}
+
+std::vector<double> SparseRevisedSimplex::rowDuals() const {
+  std::vector<double> Y(NumRows);
+  for (int Row = 0; Row < NumRows; ++Row)
+    Y[Row] = -Dj[NumStruct + Row];
+  return Y;
 }
 
 std::vector<double> SparseRevisedSimplex::structuralValues() const {

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Sparse revised simplex engine for the bounded-variable LPs of the
-/// scheduling formulations. Where the dense engine (lp/Simplex.cpp)
-/// carries an explicit m x n tableau and pays O(m*n) per pivot, this
-/// engine keeps only:
+/// scheduling formulations: the one LP engine behind SimplexSolver
+/// (lp/Simplex.h). Instead of an explicit m x n tableau, which costs
+/// O(m*n) per pivot, it keeps only:
 ///
 ///  * the model's constraint matrix, compiled once per solve sequence
 ///    into an immutable CSC+CSR SparseMatrix (keyed on the model's
@@ -26,11 +26,10 @@
 /// — on the paper's 0-1-structured models, a small constant times the
 /// pivot column/row length.
 ///
-/// The class mirrors the dense Tableau's lifecycle (initCold /
-/// tryInitWarm / run / runWarm / extractBasis) so SimplexSolver can
-/// drive either engine through one code path; bases are interchangeable
-/// between engines (same ColState encoding), so a warm start can cross
-/// the engine seam via the refactorization path.
+/// SimplexSolver drives one solve through initCold + run, or through
+/// tryInitWarm + runWarm for a warm start, then exports the verdict's
+/// certificate (rowDuals / farkasRay) and the optimal basis
+/// (extractBasis + stamp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,8 +64,8 @@ public:
                 const std::vector<double> &Upper, const SimplexOptions &Opts);
 
   /// Seeds a warm solve from \p B; false means the caller must fall
-  /// back to initCold + run. Mirrors the dense engine: an O(1) reuse
-  /// path when this engine still realizes the stamped basis (only the
+  /// back to initCold + run. Takes an O(1) reuse path when this engine
+  /// still realizes the stamped basis (only the
   /// bounds are rebound; the factorization and reduced costs survive),
   /// otherwise a refactorization of the requested basis from the
   /// compiled matrix. Fails on shape mismatch, a singular basis, or
@@ -86,8 +85,8 @@ public:
   /// basic artificial cannot be pivoted out.
   bool extractBasis(Basis &Out);
 
-  /// Stamps \p B and this engine's state with a fresh shared identity
-  /// (same stamp space as the dense engine).
+  /// Stamps \p B and this engine's state with a fresh process-unique
+  /// identity.
   void stamp(Basis &B);
 
   /// Marks the engine state as not realizing any exported basis.
@@ -111,8 +110,15 @@ public:
   bool didRebuildBasis() const { return DidRebuild; }
   /// Constraint rows supporting an Infeasible exit (see
   /// LpResult::FarkasRows); populated only under
-  /// SimplexOptions::CollectFarkas.
+  /// SimplexOptions::CollectCertificate.
   const std::vector<int> &farkasRows() const { return FarkasSupport; }
+  /// Farkas ray of an Infeasible exit, one multiplier per row (see
+  /// LpResult::Duals); populated only under
+  /// SimplexOptions::CollectCertificate.
+  const std::vector<double> &farkasRay() const { return Ray; }
+  /// Row duals of the current basis, y_i = -Dj[slack_i]: the slack
+  /// columns' reduced costs, read without a BTRAN.
+  std::vector<double> rowDuals() const;
 
 private:
   /// Per-solve bookkeeping shared by initCold / tryInitWarm.
@@ -166,7 +172,7 @@ private:
 
   /// How the primal loop prices entering columns. Escalates on
   /// degenerate streaks: candidate-list partial pricing by default, a
-  /// full Dantzig scan (the dense engine's rule) once a streak shows
+  /// full Dantzig scan once a streak shows
   /// the candidate window is stalling, and Bland's smallest-index
   /// anti-cycling rule past SimplexOptions::DegenerateLimit.
   enum class Pricing { Partial, Dantzig, Bland };
@@ -194,8 +200,8 @@ private:
   /// Pivot/deadline/cancellation budget, polled every 64 pivots.
   bool budgetExceeded() const;
 
-  /// Under SimplexOptions::CollectFarkas, appends the slack support of
-  /// tableau row \p Row (one BTRAN via computeAlphaRow) to
+  /// Under SimplexOptions::CollectCertificate, appends the slack support
+  /// of tableau row \p Row (one BTRAN via computeAlphaRow) to
   /// FarkasSupport. Clobbers AlphaRow/Rho — only call at an Infeasible
   /// exit.
   void recordFarkasRow(int Row);
@@ -236,8 +242,10 @@ private:
   std::vector<double> BVals;
   std::vector<int> CandList; ///< Partial-pricing candidate list.
   int ScanCursor = 0;        ///< Rotating pricing-scan position.
-  /// Farkas certificate row support (see farkasRows()).
+  /// Farkas certificate row support and ray (see farkasRows() and
+  /// farkasRay()).
   std::vector<int> FarkasSupport;
+  std::vector<double> Ray;
 
   int64_t Iters = 0;
   int64_t Degenerate = 0;

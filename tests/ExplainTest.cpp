@@ -12,6 +12,7 @@
 #include "ilpsched/OptimalScheduler.h"
 
 #include "ilpsched/PbFormulation.h"
+#include "lp/Certificate.h"
 #include "lp/Simplex.h"
 #include "sched/Explain.h"
 #include "sched/Mii.h"
@@ -108,34 +109,35 @@ TEST(Provenance, DepEdgeOriginsPointAtRealEdges) {
 }
 
 //===----------------------------------------------------------------------===//
-// LP-engine Farkas extraction
+// LP Farkas extraction
 //===----------------------------------------------------------------------===//
 
-TEST(Farkas, BothEnginesReportSupportRows) {
+TEST(Farkas, ReportsSupportRowsAndRay) {
   // x + y >= 4 conflicts with x <= 1, y <= 1 (rows 1 and 2): the
   // certificate must implicate row 0 and at least one of the bounds'
-  // rows, under both LP engines.
-  for (lp::SimplexEngine Engine :
-       {lp::SimplexEngine::Dense, lp::SimplexEngine::SparseRevised}) {
-    lp::Model M;
-    int X = M.addVariable("x", 0, 10);
-    int Y = M.addVariable("y", 0, 10);
-    M.addConstraint({{X, 1.0}, {Y, 1.0}}, lp::ConstraintSense::GE, 4.0);
-    M.addConstraint({{X, 1.0}}, lp::ConstraintSense::LE, 1.0);
-    M.addConstraint({{Y, 1.0}}, lp::ConstraintSense::LE, 1.0);
-    lp::SimplexOptions Opts;
-    Opts.Engine = Engine;
-    Opts.CollectFarkas = true;
-    lp::SimplexSolver S(Opts);
-    lp::LpResult R = S.solve(M);
-    ASSERT_EQ(R.Status, lp::LpStatus::Infeasible)
-        << lp::toString(Engine);
-    EXPECT_FALSE(R.FarkasRows.empty()) << lp::toString(Engine);
-    for (int Row : R.FarkasRows) {
-      EXPECT_GE(Row, 0);
-      EXPECT_LT(Row, M.numConstraints());
-    }
+  // rows, and its ray must pass the engine-independent check.
+  lp::Model M;
+  int X = M.addVariable("x", 0, 10);
+  int Y = M.addVariable("y", 0, 10);
+  M.addConstraint({{X, 1.0}, {Y, 1.0}}, lp::ConstraintSense::GE, 4.0);
+  M.addConstraint({{X, 1.0}}, lp::ConstraintSense::LE, 1.0);
+  M.addConstraint({{Y, 1.0}}, lp::ConstraintSense::LE, 1.0);
+  lp::SimplexOptions Opts;
+  Opts.CollectCertificate = true;
+  lp::SimplexSolver S(Opts);
+  std::vector<double> Lower, Upper;
+  M.getBounds(Lower, Upper);
+  lp::LpResult R = S.solve(M, Lower, Upper);
+  ASSERT_EQ(R.Status, lp::LpStatus::Infeasible);
+  ASSERT_FALSE(R.FarkasRows.empty());
+  EXPECT_EQ(R.FarkasRows.front(), 0);
+  for (int Row : R.FarkasRows) {
+    EXPECT_GE(Row, 0);
+    EXPECT_LT(Row, M.numConstraints());
   }
+  std::optional<std::string> Why =
+      lp::checkLpCertificate(M, Lower, Upper, R);
+  EXPECT_FALSE(Why.has_value()) << Why.value_or("");
 }
 
 TEST(Farkas, OffByDefaultCostsNothing) {
@@ -146,6 +148,7 @@ TEST(Farkas, OffByDefaultCostsNothing) {
   lp::LpResult R = S.solve(M);
   ASSERT_EQ(R.Status, lp::LpStatus::Infeasible);
   EXPECT_TRUE(R.FarkasRows.empty());
+  EXPECT_TRUE(R.Duals.empty());
 }
 
 //===----------------------------------------------------------------------===//

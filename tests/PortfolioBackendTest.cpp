@@ -45,12 +45,14 @@ void checkRaceInvariants(const ScheduleResult &R) {
   for (const IiAttempt &A : R.Attempts) {
     EXPECT_TRUE(A.Winner.empty() || A.Winner == "ilp" || A.Winner == "pb")
         << "unknown winner '" << A.Winner << "' at II=" << A.II;
-    if (A.Cancelled)
+    if (A.Cancelled) {
       EXPECT_TRUE(A.Winner.empty())
           << "cancelled attempt claims winner at II=" << A.II;
-    if (A.Scheduled)
+    }
+    if (A.Scheduled) {
       EXPECT_FALSE(A.Winner.empty())
           << "scheduled attempt has no winner at II=" << A.II;
+    }
     EXPECT_GE(A.BoundExchanges, 0);
   }
 }
@@ -281,9 +283,11 @@ TEST(PortfolioBackend, MinLifeCoeffGuardSitsPbOut) {
   EXPECT_NEAR(Seq.SecondaryObjective, Port.SecondaryObjective, 1e-6);
   EXPECT_EQ(Port.PbConflicts, 0);
   EXPECT_EQ(Port.PbPropagations, 0);
-  for (const IiAttempt &A : Port.Attempts)
-    if (!A.Winner.empty())
+  for (const IiAttempt &A : Port.Attempts) {
+    if (!A.Winner.empty()) {
       EXPECT_EQ(A.Winner, "ilp");
+    }
+  }
 }
 
 TEST(PortfolioBackend, TinyNoObjEncodingSitsIlpOut) {
@@ -304,9 +308,11 @@ TEST(PortfolioBackend, TinyNoObjEncodingSitsIlpOut) {
   EXPECT_EQ(Seq.II, Port.II);
   EXPECT_EQ(Port.Nodes, 0);
   EXPECT_GT(Port.PbPropagations, 0);
-  for (const IiAttempt &A : Port.Attempts)
-    if (!A.Winner.empty())
+  for (const IiAttempt &A : Port.Attempts) {
+    if (!A.Winner.empty()) {
       EXPECT_EQ(A.Winner, "pb");
+    }
+  }
   EXPECT_FALSE(verifySchedule(G, M, Port.Schedule).has_value());
 }
 

@@ -116,8 +116,9 @@ TEST(OptimalScheduler, NodeBudgetCensorsSearch) {
   // Node censoring is now attributed to its own flag, distinct from the
   // wall-clock timeout.
   EXPECT_TRUE(R.Found || R.NodeLimitHit);
-  if (!R.Found)
+  if (!R.Found) {
     EXPECT_FALSE(R.TimedOut); // 30s budget cannot plausibly expire here.
+  }
 }
 
 TEST(OptimalScheduler, ReportsMiiEvenWhenBudgetExpires) {

@@ -1,18 +1,20 @@
-//===- tests/SparseSimplexTest.cpp - sparse engine differential -----------===//
+//===- tests/SparseSimplexTest.cpp - LP engine and certificate tests -----===//
 //
-// Differential tests of the sparse revised simplex engine
-// (lp/SparseRevisedSimplex.h) against the dense tableau engine: on
-// random bounded LPs, on every Formulation-built scheduling model, and
-// end-to-end through the optimal scheduler, both engines must agree on
-// feasibility verdicts and on objectives to 1e-6. Also unit-tests the
-// sparse linear-algebra substrate (SparseMatrix compilation caching,
-// LU factorization, eta updates, hyper-sparse FTRAN/BTRAN) and the
-// anti-cycling Bland fallback of both engines on Beale's cycling LP.
+// Tests of the LP engine (lp/SparseRevisedSimplex.h behind
+// lp/Simplex.h) against an oracle that trusts no engine: every verdict
+// on random bounded LPs, on warm-started branch-and-bound chains and on
+// every Formulation-built scheduling relaxation must pass the
+// certificate check of lp/Certificate.h (primal and dual feasibility
+// plus a closed duality gap, or a separating Farkas ray), and tampered
+// certificates must be rejected. Also unit-tests the sparse
+// linear-algebra substrate (SparseMatrix compilation caching, LU
+// factorization, eta updates, hyper-sparse FTRAN/BTRAN) and the
+// anti-cycling Bland fallback on Beale's cycling LP.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ilpsched/Formulation.h"
-#include "ilpsched/OptimalScheduler.h"
+#include "lp/Certificate.h"
 #include "lp/LuFactor.h"
 #include "lp/Model.h"
 #include "lp/Simplex.h"
@@ -34,9 +36,10 @@ using namespace modsched::lp;
 
 namespace {
 
-SimplexSolver makeSolver(SimplexEngine Engine) {
+/// A solver that exports the certificate of every verdict.
+SimplexSolver certifyingSolver() {
   SimplexOptions Opts;
-  Opts.Engine = Engine;
+  Opts.CollectCertificate = true;
   return SimplexSolver(Opts);
 }
 
@@ -98,24 +101,26 @@ Model randomModel(Rng &R) {
   return M;
 }
 
-/// Solves \p M with both engines and asserts they agree on the verdict
-/// (and on the objective when optimal). Returns the sparse result.
-LpResult expectEnginesAgree(const Model &M, const std::string &What) {
-  LpResult Dense = makeSolver(SimplexEngine::Dense).solve(M);
-  LpResult Sparse = makeSolver(SimplexEngine::SparseRevised).solve(M);
-  EXPECT_EQ(Dense.Status, Sparse.Status)
-      << What << ": engine verdicts disagree\n"
+/// Asserts that \p R, a solve of \p M under \p Lower / \p Upper, passes
+/// the certificate check.
+void expectCertified(const Model &M, const std::vector<double> &Lower,
+                     const std::vector<double> &Upper, const LpResult &R,
+                     const std::string &What) {
+  std::optional<std::string> Why = checkLpCertificate(M, Lower, Upper, R);
+  EXPECT_FALSE(Why.has_value())
+      << What << " (" << toString(R.Status) << "): " << Why.value_or("")
+      << "\n"
       << M.toString();
-  if (Dense.Status == LpStatus::Optimal &&
-      Sparse.Status == LpStatus::Optimal) {
-    EXPECT_NEAR(Dense.Objective, Sparse.Objective, 1e-6)
-        << What << ": engine objectives disagree\n"
-        << M.toString();
-    std::string Why;
-    EXPECT_TRUE(M.isFeasible(Sparse.Values, 1e-6, &Why))
-        << What << ": sparse solution infeasible: " << Why;
-  }
-  return Sparse;
+}
+
+/// Solves \p M under its own bounds with certificate export, checks the
+/// certificate, and returns the result.
+LpResult solveCertified(const Model &M, const std::string &What) {
+  std::vector<double> Lower, Upper;
+  M.getBounds(Lower, Upper);
+  LpResult R = certifyingSolver().solve(M, Lower, Upper);
+  expectCertified(M, Lower, Upper, R, What);
+  return R;
 }
 
 } // namespace
@@ -127,8 +132,8 @@ LpResult expectEnginesAgree(const Model &M, const std::string &What) {
 TEST(SparseMatrix, CompileMirrorsCanonicalModel) {
   // Model hygiene: duplicated terms merge and zero coefficients drop on
   // addConstraint, so the compiled CSC/CSR must mirror the canonical
-  // constraint data exactly — dense and sparse engines read the same
-  // coefficients or every differential test below is meaningless.
+  // constraint data exactly — the engine and the certificate checker
+  // read the same coefficients or every check below is meaningless.
   Model M;
   int X = M.addVariable("x", 0, 10);
   int Y = M.addVariable("y", 0, 10);
@@ -316,46 +321,54 @@ TEST(LuFactor, RejectsZeroPivotEta) {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine differential: random LPs
+// Certified verdicts: random LPs and warm-start chains
 //===----------------------------------------------------------------------===//
 
-TEST(SparseSimplex, DifferentialAgainstDenseOnRandomLps) {
-  // ~200 random bounded LPs across two independent streams: both
-  // engines must agree on every feasibility verdict and on every
-  // optimal objective to 1e-6.
+TEST(SparseSimplex, RandomLpsPassCertificateCheck) {
+  // ~200 random bounded LPs across two independent streams: every
+  // verdict must come with a certificate that checks. Exporting it must
+  // not change the solve: a default solve takes the same pivots to the
+  // same verdict and objective.
   int Optimal = 0, Infeasible = 0;
   for (uint64_t Seed : {uint64_t(20260806), uint64_t(4242)}) {
     Rng R(Seed);
     for (int I = 0; I < 100; ++I) {
       Model M = randomModel(R);
-      LpResult S = expectEnginesAgree(
-          M, "seed " + std::to_string(Seed) + " model " +
-                 std::to_string(I));
-      if (S.Status == LpStatus::Optimal)
+      const std::string What =
+          "seed " + std::to_string(Seed) + " model " + std::to_string(I);
+      LpResult S = solveCertified(M, What);
+      LpResult Plain = SimplexSolver().solve(M);
+      EXPECT_EQ(Plain.Status, S.Status) << What;
+      EXPECT_EQ(Plain.Iterations, S.Iterations) << What;
+      EXPECT_TRUE(Plain.Duals.empty()) << What;
+      if (S.Status == LpStatus::Optimal) {
         ++Optimal;
-      else if (S.Status == LpStatus::Infeasible)
+        EXPECT_EQ(Plain.Objective, S.Objective) << What;
+      } else if (S.Status == LpStatus::Infeasible) {
         ++Infeasible;
+      }
     }
   }
-  // The generator must exercise both verdicts for the differential to
-  // mean anything.
+  // The generator must exercise both verdicts for the check to mean
+  // anything.
   EXPECT_GE(Optimal, 100);
   EXPECT_GE(Infeasible, 10);
 }
 
-TEST(SparseSimplex, WarmStartChainsMatchDenseCold) {
-  // The branch-and-bound resolve pattern under the sparse engine:
-  // parent solve, then chains of bound tightenings warm-started from
-  // the parent basis, each checked against a cold dense solve.
+TEST(SparseSimplex, WarmStartChainsPassCertificateCheck) {
+  // The branch-and-bound resolve pattern: parent solve, then chains of
+  // bound tightenings warm-started from the parent basis. Each child's
+  // certificate must check under its tightened bounds, and its verdict
+  // must match a cold solve.
   Rng R(777);
-  int Children = 0, WarmStarted = 0;
+  int Children = 0, WarmStarted = 0, WarmInfeasible = 0;
   for (int I = 0; I < 40; ++I) {
     Model M = randomModel(R);
     SolveContext Ctx;
-    SimplexSolver Sparse = makeSolver(SimplexEngine::SparseRevised);
+    SimplexSolver Solver = certifyingSolver();
     std::vector<double> Lower, Upper;
     M.getBounds(Lower, Upper);
-    LpResult Parent = Sparse.solve(M, Lower, Upper, &Ctx);
+    LpResult Parent = Solver.solve(M, Lower, Upper, &Ctx);
     if (Parent.Status != LpStatus::Optimal || Parent.FinalBasis.empty())
       continue;
     Basis B = Parent.FinalBasis;
@@ -374,17 +387,21 @@ TEST(SparseSimplex, WarmStartChainsMatchDenseCold) {
       if (Var < 0)
         break;
       ++Children;
-      LpResult WarmChild = Sparse.solve(M, Lower, Upper, &Ctx, &B);
-      LpResult ColdChild = makeSolver(SimplexEngine::Dense)
-                               .solve(M, Lower, Upper);
+      const std::string What = "model " + std::to_string(I) + " level " +
+                               std::to_string(Level);
+      LpResult WarmChild = Solver.solve(M, Lower, Upper, &Ctx, &B);
+      expectCertified(M, Lower, Upper, WarmChild, "warm child, " + What);
+      LpResult ColdChild = SimplexSolver().solve(M, Lower, Upper);
       ASSERT_EQ(WarmChild.Status, ColdChild.Status)
-          << "sparse-warm vs dense-cold disagree at model " << I
-          << " level " << Level << "\n"
+          << "warm vs cold disagree at " << What << "\n"
           << M.toString();
       if (WarmChild.WarmStarted)
         ++WarmStarted;
-      if (WarmChild.Status != LpStatus::Optimal)
+      if (WarmChild.Status != LpStatus::Optimal) {
+        WarmInfeasible += WarmChild.WarmStarted &&
+                          WarmChild.Status == LpStatus::Infeasible;
         break;
+      }
       EXPECT_NEAR(WarmChild.Objective, ColdChild.Objective, 1e-6)
           << M.toString();
       if (WarmChild.FinalBasis.empty())
@@ -395,77 +412,105 @@ TEST(SparseSimplex, WarmStartChainsMatchDenseCold) {
   }
   EXPECT_GE(Children, 30) << "generator produced too few children";
   EXPECT_GE(WarmStarted, Children / 2)
-      << "sparse warm starts fell back to cold too often";
+      << "warm starts fell back to cold too often";
+  // The dual simplex's Farkas ray must be among the rays checked.
+  EXPECT_GE(WarmInfeasible, 1) << "no warm child ended infeasible";
 }
 
-TEST(SparseSimplex, BasisCrossesEngineSeam) {
-  // A basis stamped by one engine warm-starts the other: the stamp
-  // cannot match the other engine's state, so the refactorization path
-  // realizes it (or cleanly falls back), and both must agree with a
-  // cold solve on the tightened child.
+TEST(SparseSimplex, TamperedCertificatesAreRejected) {
+  // min -3x - 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18: optimum
+  // (x, y) = (2, 6) with duals (0, -1.5, -1).
   Model M;
-  int X = M.addVariable("x", 0, 10, -1.0);
-  int Y = M.addVariable("y", 0, 10, -2.0);
-  M.addConstraint({{X, 1.0}, {Y, 2.0}}, ConstraintSense::LE, 13.0);
-  M.addConstraint({{X, 1.0}, {Y, -1.0}}, ConstraintSense::LE, 4.0);
+  int X = M.addVariable("x", 0, infinity(), -3.0);
+  int Y = M.addVariable("y", 0, infinity(), -5.0);
+  M.addConstraint({{X, 1.0}}, ConstraintSense::LE, 4.0);
+  M.addConstraint({{Y, 2.0}}, ConstraintSense::LE, 12.0);
+  M.addConstraint({{X, 3.0}, {Y, 2.0}}, ConstraintSense::LE, 18.0);
   std::vector<double> Lower, Upper;
   M.getBounds(Lower, Upper);
+  LpResult R = solveCertified(M, "textbook LP");
+  ASSERT_EQ(R.Status, LpStatus::Optimal);
+  ASSERT_EQ(R.Duals.size(), 3u);
+  EXPECT_NEAR(R.Duals[0], 0.0, 1e-9);
+  EXPECT_NEAR(R.Duals[1], -1.5, 1e-9);
+  EXPECT_NEAR(R.Duals[2], -1.0, 1e-9);
 
-  for (bool DenseFirst : {true, false}) {
-    SimplexEngine First =
-        DenseFirst ? SimplexEngine::Dense : SimplexEngine::SparseRevised;
-    SimplexEngine Second =
-        DenseFirst ? SimplexEngine::SparseRevised : SimplexEngine::Dense;
-    SolveContext Ctx;
-    LpResult Parent =
-        makeSolver(First).solve(M, Lower, Upper, &Ctx);
-    ASSERT_EQ(Parent.Status, LpStatus::Optimal);
-    ASSERT_FALSE(Parent.FinalBasis.empty());
+  // A perturbed dual leaves every sign intact but opens the gap.
+  LpResult BadDual = R;
+  BadDual.Duals[2] -= 0.1;
+  EXPECT_TRUE(checkLpCertificate(M, Lower, Upper, BadDual).has_value());
 
-    std::vector<double> Lo = Lower, Up = Upper;
-    Up[Y] = 3.0;
-    LpResult Child = makeSolver(Second).solve(M, Lo, Up, &Ctx,
-                                              &Parent.FinalBasis);
-    LpResult Cold = makeSolver(Second).solve(M, Lo, Up);
-    ASSERT_EQ(Child.Status, LpStatus::Optimal)
-        << (DenseFirst ? "dense->sparse" : "sparse->dense");
-    EXPECT_NEAR(Child.Objective, Cold.Objective, 1e-9);
+  // A feasible but suboptimal primal point, reported consistently.
+  LpResult BadPrimal = R;
+  BadPrimal.Values[X] -= 0.1;
+  BadPrimal.Objective = M.evaluateObjective(BadPrimal.Values);
+  EXPECT_TRUE(checkLpCertificate(M, Lower, Upper, BadPrimal).has_value());
+
+  // Breaking a row or a bound whose dual is zero keeps the gap closed:
+  // only the primal checks can catch it.
+  Model Slack;
+  int U = Slack.addVariable("u", 0, 10, 1.0);
+  int V = Slack.addVariable("v", 0, 10);
+  Slack.addConstraint({{U, 1.0}}, ConstraintSense::GE, 1.0);
+  Slack.addConstraint({{V, 1.0}}, ConstraintSense::LE, 2.0);
+  Slack.getBounds(Lower, Upper);
+  LpResult Loose = solveCertified(Slack, "zero-dual row");
+  ASSERT_EQ(Loose.Status, LpStatus::Optimal);
+  for (double BadV : {3.0, -1.0}) {
+    LpResult BadPoint = Loose;
+    BadPoint.Values[V] = BadV;
+    EXPECT_TRUE(checkLpCertificate(Slack, Lower, Upper, BadPoint).has_value())
+        << "v = " << BadV;
+  }
+
+  // x + y >= 4 against x <= 1, y <= 1: the ray needs all three rows, so
+  // dropping any one of its multipliers breaks it.
+  Model Inf;
+  int A = Inf.addVariable("a", 0, 10);
+  int B = Inf.addVariable("b", 0, 10);
+  Inf.addConstraint({{A, 1.0}, {B, 1.0}}, ConstraintSense::GE, 4.0);
+  Inf.addConstraint({{A, 1.0}}, ConstraintSense::LE, 1.0);
+  Inf.addConstraint({{B, 1.0}}, ConstraintSense::LE, 1.0);
+  Inf.getBounds(Lower, Upper);
+  LpResult Ray = solveCertified(Inf, "three-row conflict");
+  ASSERT_EQ(Ray.Status, LpStatus::Infeasible);
+  ASSERT_EQ(Ray.Duals.size(), 3u);
+  for (int Row = 0; Row < 3; ++Row) {
+    LpResult BadRay = Ray;
+    BadRay.Duals[Row] = 0.0;
+    EXPECT_TRUE(checkLpCertificate(Inf, Lower, Upper, BadRay).has_value())
+        << "ray with row " << Row << " dropped";
   }
 }
 
 TEST(SparseSimplex, BealeCyclingLpTerminatesUnderBland) {
   // Beale's classic cycling example: Dantzig pricing cycles forever at
   // the degenerate origin vertex without an anti-cycling guard. Force
-  // the Bland fallback almost immediately (DegenerateLimit = 1) on BOTH
-  // engines and require the true optimum -1/20.
-  for (SimplexEngine Engine :
-       {SimplexEngine::Dense, SimplexEngine::SparseRevised}) {
-    Model M;
-    int X = M.addVariable("x", 0, infinity(), -0.75);
-    int Y = M.addVariable("y", 0, infinity(), 150.0);
-    int Z = M.addVariable("z", 0, infinity(), -0.02);
-    int W = M.addVariable("w", 0, infinity(), 6.0);
-    M.addConstraint({{X, 0.25}, {Y, -60.0}, {Z, -0.04}, {W, 9.0}},
-                    ConstraintSense::LE, 0.0);
-    M.addConstraint({{X, 0.5}, {Y, -90.0}, {Z, -0.02}, {W, 3.0}},
-                    ConstraintSense::LE, 0.0);
-    M.addConstraint({{Z, 1.0}}, ConstraintSense::LE, 1.0);
+  // the Bland fallback almost immediately (DegenerateLimit = 1) and
+  // require the true optimum -1/20.
+  Model M;
+  int X = M.addVariable("x", 0, infinity(), -0.75);
+  int Y = M.addVariable("y", 0, infinity(), 150.0);
+  int Z = M.addVariable("z", 0, infinity(), -0.02);
+  int W = M.addVariable("w", 0, infinity(), 6.0);
+  M.addConstraint({{X, 0.25}, {Y, -60.0}, {Z, -0.04}, {W, 9.0}},
+                  ConstraintSense::LE, 0.0);
+  M.addConstraint({{X, 0.5}, {Y, -90.0}, {Z, -0.02}, {W, 3.0}},
+                  ConstraintSense::LE, 0.0);
+  M.addConstraint({{Z, 1.0}}, ConstraintSense::LE, 1.0);
 
-    SimplexOptions Opts;
-    Opts.Engine = Engine;
-    Opts.DegenerateLimit = 1; // Switch to Bland's rule at once.
-    Opts.MaxIterations = 10000;
-    LpResult R = SimplexSolver(Opts).solve(M);
-    ASSERT_EQ(R.Status, LpStatus::Optimal) << toString(Engine);
-    EXPECT_NEAR(R.Objective, -0.05, 1e-9) << toString(Engine);
-  }
+  SimplexOptions Opts;
+  Opts.DegenerateLimit = 1; // Switch to Bland's rule at once.
+  Opts.MaxIterations = 10000;
+  LpResult R = SimplexSolver(Opts).solve(M);
+  ASSERT_EQ(R.Status, LpStatus::Optimal);
+  EXPECT_NEAR(R.Objective, -0.05, 1e-9);
 }
 
 TEST(SparseSimplex, ContextDeadlineObserved) {
-  // The sparse engine must poll the per-attempt context like the dense
-  // one: an already-expired deadline reports IterationLimit.
+  // The engine polls its time budget: an already-expired deadline
+  // reports IterationLimit.
   SimplexOptions Opts;
-  Opts.Engine = SimplexEngine::SparseRevised;
   Opts.TimeLimitSeconds = -1.0;
   Model M;
   int X = M.addVariable("x", 0, infinity(), -1.0);
@@ -475,30 +520,27 @@ TEST(SparseSimplex, ContextDeadlineObserved) {
 }
 
 TEST(SparseSimplex, ReportsFactorizationTelemetry) {
-  // A sparse solve must report at least one LU factorization; a dense
-  // solve reports zero eta nonzeros by definition.
+  // A solve must report at least one LU factorization.
   Model M;
   int X = M.addVariable("x", 0, infinity(), -3.0);
   int Y = M.addVariable("y", 0, infinity(), -5.0);
   M.addConstraint({{X, 1.0}}, ConstraintSense::LE, 4.0);
   M.addConstraint({{Y, 2.0}}, ConstraintSense::LE, 12.0);
   M.addConstraint({{X, 3.0}, {Y, 2.0}}, ConstraintSense::LE, 18.0);
-  LpResult Sparse = makeSolver(SimplexEngine::SparseRevised).solve(M);
-  ASSERT_EQ(Sparse.Status, LpStatus::Optimal);
-  EXPECT_GE(Sparse.Refactorizations, 1);
-  LpResult Dense = makeSolver(SimplexEngine::Dense).solve(M);
-  EXPECT_EQ(Dense.EtaNonzeros, 0);
+  LpResult R = SimplexSolver().solve(M);
+  ASSERT_EQ(R.Status, LpStatus::Optimal);
+  EXPECT_GE(R.Refactorizations, 1);
 }
 
 //===----------------------------------------------------------------------===//
-// Engine differential: Formulation-built scheduling models
+// Certified verdicts: Formulation-built scheduling models
 //===----------------------------------------------------------------------===//
 
-TEST(SparseSimplex, DifferentialOnFormulationModels) {
+TEST(SparseSimplex, FormulationRelaxationsPassCertificateCheck) {
   // Every kernel's structured and traditional LP relaxation at MII:
-  // these are the exact matrices the branch-and-bound nodes solve, and
-  // the two engines must price them identically.
+  // these are the exact matrices the branch-and-bound nodes solve.
   MachineModel M = MachineModel::cydraLike();
+  int Checked = 0;
   for (const DependenceGraph &G : allKernels(M)) {
     int Mii = mii(G, M);
     for (DependenceStyle Dep :
@@ -509,52 +551,12 @@ TEST(SparseSimplex, DifferentialOnFormulationModels) {
       Formulation F(G, M, Mii, FOpts);
       if (!F.valid())
         continue;
-      expectEnginesAgree(F.model(),
-                         G.name() + (Dep == DependenceStyle::Structured
-                                         ? " structured"
-                                         : " traditional"));
+      ++Checked;
+      solveCertified(F.model(),
+                     G.name() + (Dep == DependenceStyle::Structured
+                                     ? " structured"
+                                     : " traditional"));
     }
   }
-}
-
-TEST(SparseSimplex, EndToEndSchedulerMatchesDense) {
-  // Full scheduler equality: same II and same secondary objective under
-  // both engines, across the kernel library. (The search trees may
-  // differ node-for-node — LP degeneracy admits multiple optimal bases
-  // — but the certified optima may not.)
-  MachineModel M = MachineModel::example3();
-  int Compared = 0;
-  for (const DependenceGraph &G : allKernels(M)) {
-    ScheduleResult Results[2];
-    int Idx = 0;
-    for (SimplexEngine Engine :
-         {SimplexEngine::Dense, SimplexEngine::SparseRevised}) {
-      SchedulerOptions Opts;
-      Opts.Formulation.Obj = Objective::MinReg;
-      Opts.TimeLimitSeconds = 30.0;
-      Opts.LpEngine = Engine;
-      Results[Idx++] = OptimalModuloScheduler(M, Opts).schedule(G);
-    }
-    const ScheduleResult &Dense = Results[0];
-    const ScheduleResult &Sparse = Results[1];
-    if (Dense.TimedOut || Sparse.TimedOut || Dense.NodeLimitHit ||
-        Sparse.NodeLimitHit) {
-      // A censored attempt is not a verdict (the dense engine in
-      // particular can blow the per-loop budget); skip, don't fail.
-      continue;
-    }
-    ASSERT_EQ(Dense.Found, Sparse.Found) << G.name();
-    if (!Dense.Found)
-      continue;
-    ++Compared;
-    EXPECT_EQ(Dense.II, Sparse.II) << G.name();
-    EXPECT_NEAR(Dense.SecondaryObjective, Sparse.SecondaryObjective, 1e-6)
-        << G.name();
-    // Factorization telemetry must flow end to end for the sparse run.
-    EXPECT_GE(Sparse.LpRefactorizations, 1) << G.name();
-    EXPECT_EQ(Dense.LpEtaNonzeros, 0) << G.name();
-  }
-  // The budget is generous enough that most of the library certifies
-  // under both engines; the comparison must not silently go vacuous.
-  EXPECT_GE(Compared, 10);
+  EXPECT_GE(Checked, 2 * 18) << "kernel library shrank";
 }
