@@ -107,12 +107,12 @@ BenchConfig BenchConfig::fromEnv() {
       Config.Backend = SchedulerBackend::Ilp;
     else if (std::strcmp(E, "pb") == 0)
       Config.Backend = SchedulerBackend::Pb;
-    else if (std::strcmp(E, "portfolio") == 0)
-      Config.Backend = SchedulerBackend::Portfolio;
+    else if (std::strcmp(E, "auto") == 0)
+      Config.Backend = SchedulerBackend::Auto;
     else
       std::fprintf(stderr,
                    "warning: ignoring MODSCHED_BENCH_BACKEND='%s' "
-                   "(expected ilp|pb|portfolio); keeping %s\n",
+                   "(expected ilp|pb|auto); keeping %s\n",
                    E, toString(Config.Backend));
   }
   return Config;
@@ -262,27 +262,16 @@ int bench::countSolved(const std::vector<LoopRecord> &Records) {
   return Count;
 }
 
-void bench::printPortfolioSummary(const std::string &Label,
-                                  const std::vector<LoopRecord> &Records) {
-  int64_t IlpWins = 0, PbWins = 0, Exchanges = 0, Undecided = 0;
+void bench::printEngineTally(const std::string &Label,
+                             const std::vector<LoopRecord> &Records) {
+  std::map<std::string, int64_t> Tally;
   for (const LoopRecord &R : Records)
-    for (const IiAttempt &A : R.Attempts) {
-      if (A.Winner == "ilp")
-        ++IlpWins;
-      else if (A.Winner == "pb")
-        ++PbWins;
-      else if (A.Winner.empty())
-        ++Undecided;
-      Exchanges += A.BoundExchanges;
-    }
-  if (IlpWins + PbWins == 0)
-    return; // Single-engine backend (or nothing conclusive): stay quiet.
-  std::printf("portfolio winners [%s]: %lld ilp, %lld pb "
-              "(%lld undecided attempts, %lld bound exchanges)\n\n",
-              Label.c_str(), static_cast<long long>(IlpWins),
-              static_cast<long long>(PbWins),
-              static_cast<long long>(Undecided),
-              static_cast<long long>(Exchanges));
+    for (const IiAttempt &A : R.Attempts)
+      ++Tally[A.Engine];
+  std::printf("attempts by engine [%s]:", Label.c_str());
+  for (const auto &[Engine, Count] : Tally)
+    std::printf(" %lld %s", static_cast<long long>(Count), Engine.c_str());
+  std::printf("\n\n");
 }
 
 std::vector<int> bench::commonlySolved(
@@ -402,12 +391,9 @@ void emitRecord(json::JsonWriter &W, const LoopRecord &R) {
     W.key("variables").value(A.Variables);
     W.key("constraints").value(A.Constraints);
     W.key("seconds").value(A.Seconds);
-    // Portfolio race outcome: the engine whose verdict was
-    // committed ("ilp" / "pb"; empty on non-conclusive attempts and
-    // under single-engine backends) and the cross-engine incumbent
-    // exchanges the attempt performed.
-    W.key("winner").value(A.Winner);
-    W.key("bound_exchanges").value(A.BoundExchanges);
+    // The engine whose verdict was committed ("ilp" / "pb"; "ilp+pb"
+    // when a raced attempt decided nothing).
+    W.key("engine").value(A.Engine);
     // Forensics. Always emitted so consumers need no
     // key-existence branching; defaults mean "no evidence".
     W.key("witness").value(A.Explain ? witnessName(A.Explain->Kind)
@@ -461,7 +447,7 @@ std::string BenchJson::write() const {
   std::string Out;
   json::JsonWriter W(Out);
   W.beginObject();
-  W.key("schema_version").value(10);
+  W.key("schema_version").value(11);
   W.key("experiment").value(Experiment);
   W.key("generated_unix")
       .value(static_cast<int64_t>(std::time(nullptr)));

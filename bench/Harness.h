@@ -20,11 +20,10 @@
 ///                             the knob behind warm-vs-cold A/B runs)
 ///   MODSCHED_BENCH_BACKEND    exact engine behind every attempt: "ilp"
 ///                             (LP-based branch-and-bound), "pb" (CDCL
-///                             pseudo-Boolean), or "portfolio" (both
-///                             raced per II with cross-engine bound
-///                             sharing) — the knob behind backend A/B
-///                             runs; the compiled-in default follows
-///                             MODSCHED_BACKEND
+///                             pseudo-Boolean), or "auto" (a fixed rule
+///                             over the objective) — the knob behind
+///                             backend A/B runs; the compiled-in default
+///                             follows MODSCHED_BACKEND
 ///   MODSCHED_BENCH_JOBS       worker threads for the per-loop sweep
 ///                             (default 1 = serial; loops are scheduled
 ///                             concurrently, records stay in suite order)
@@ -81,9 +80,9 @@ struct BenchConfig {
   /// WarmStart); MODSCHED_BENCH_WARMSTART=0 turns it off for A/B runs.
   bool WarmStart = true;
   /// Exact engine behind every attempt (SchedulerOptions::Backend):
-  /// ILP branch-and-bound, the CDCL pseudo-Boolean solver, or the
-  /// portfolio racing both with cross-engine bound sharing.
-  /// MODSCHED_BENCH_BACKEND=ilp|pb|portfolio overrides for A/B runs;
+  /// ILP branch-and-bound, the CDCL pseudo-Boolean solver, or the auto
+  /// rule picking one of them (or racing both on MinReg) per objective.
+  /// MODSCHED_BENCH_BACKEND=ilp|pb|auto overrides for A/B runs;
   /// the compiled-in default follows MODSCHED_BACKEND (ilpsched/
   /// OptimalScheduler.h). Formulations the PB backend cannot encode
   /// fall back to ILP per attempt with a one-time warning.
@@ -201,13 +200,10 @@ void printPaperTableBlock(const std::string &SchedulerName,
 /// Number of solved records.
 int countSolved(const std::vector<LoopRecord> &Records);
 
-/// Engine win tally of one record set under the portfolio backend:
-/// counts conclusive attempts committed by each engine plus the total
-/// cross-engine bound exchanges, and prints one summary line. Silent
-/// when no attempt carries a winner (single-engine backends), so the
-/// experiment binaries call it unconditionally.
-void printPortfolioSummary(const std::string &Label,
-                           const std::vector<LoopRecord> &Records);
+/// Prints one line counting the attempts of \p Records by the engine
+/// that committed each verdict (IiAttempt::Engine).
+void printEngineTally(const std::string &Label,
+                      const std::vector<LoopRecord> &Records);
 
 /// Indices of loops solved in every record set.
 std::vector<int>
@@ -241,7 +237,7 @@ struct ServiceSummary {
 /// produced, and call write() before exiting. The artifact is
 ///   <dir>/BENCH_<experiment>.json
 /// with <dir> = $MODSCHED_BENCH_RESULTS_DIR or "bench_results" (created
-/// if missing). The schema (schema_version 10: config, headline
+/// if missing). The schema (schema_version 11: config, headline
 /// metrics, cache counters, the optional "service" object and the
 /// per-loop record sets with their per-attempt forensics) is validated
 /// by scripts/check_bench_json.py, which accepts only the current

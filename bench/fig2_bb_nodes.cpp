@@ -43,7 +43,7 @@ int main() {
       std::fprintf(stderr, "running %s/%s...\n", toString(Obj),
                    toString(Dep));
       All.push_back(runOptimal(M, Suite, Obj, Dep, Config));
-      printPortfolioSummary(std::string(toString(Obj)) + "/" +
+      printEngineTally(std::string(toString(Obj)) + "/" +
                                 toString(Dep),
                             All.back());
       Json.addRecordSet(std::string(toString(Obj)) + "/" + toString(Dep),

@@ -277,45 +277,6 @@ BENCHMARK(BM_PbVsIlp)
     ->Arg(1) // CDCL pseudo-Boolean backend
     ->Unit(benchmark::kMillisecond);
 
-void BM_PortfolioVsBest(benchmark::State &State) {
-  // Three-way backend race on the fixed 12-op MinBuff loop: the single
-  // engines (Arg 0 = ILP, Arg 1 = PB) against the portfolio backend
-  // (Arg 2) racing both per II with cross-engine bound sharing and the
-  // persistent PB session. All three arms must agree on II and
-  // objective; main() derives the portfolio_vs_best_* headline metrics
-  // (virtual best = faster single engine) from the three records. On a
-  // single-core host the racing arms time-slice, so the portfolio lands
-  // between the engines rather than at the virtual best — the records
-  // report whatever this machine measures.
-  MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = benchLoop(M);
-  SchedulerOptions Opts;
-  Opts.Formulation.Obj = Objective::MinBuff;
-  Opts.TimeLimitSeconds = 20.0;
-  Opts.Backend = State.range(0) == 2   ? SchedulerBackend::Portfolio
-                 : State.range(0) == 1 ? SchedulerBackend::Pb
-                                       : SchedulerBackend::Ilp;
-  OptimalModuloScheduler Scheduler(M, Opts);
-  ScheduleResult Last;
-  for (auto _ : State) {
-    Last = Scheduler.schedule(G);
-    benchmark::DoNotOptimize(Last.II);
-  }
-  State.counters["ii"] = Last.II;
-  int64_t Exchanges = 0;
-  for (const IiAttempt &A : Last.Attempts)
-    Exchanges += A.BoundExchanges;
-  State.counters["bound_exchanges"] = static_cast<double>(Exchanges);
-  bench::LoopRecord Rec = bench::LoopRecord::fromResult(G, Last);
-  Rec.Name = "BM_PortfolioVsBest/" + std::to_string(State.range(0));
-  upsertRecord(std::move(Rec));
-}
-BENCHMARK(BM_PortfolioVsBest)
-    ->Arg(0) // ILP alone
-    ->Arg(1) // PB alone
-    ->Arg(2) // portfolio race with bound sharing
-    ->Unit(benchmark::kMillisecond);
-
 void BM_NodePresolve(benchmark::State &State) {
   // Ablation: bound propagation at every branch-and-bound node.
   MachineModel M = MachineModel::cydraLike();
@@ -434,34 +395,6 @@ int main(int argc, char **argv) {
                        : 0.0);
     if (Pb->Seconds > 0)
       Json.addMetric("pb_vs_ilp_time_ratio", Ilp->Seconds / Pb->Seconds);
-  }
-
-  // Headline portfolio metrics from the BM_PortfolioVsBest arms: the
-  // race must reproduce the single-engine verdict, and its wall clock
-  // is compared against the faster single engine (the virtual best a
-  // perfect portfolio would match on a multi-core host).
-  const bench::LoopRecord *PvIlp = nullptr, *PvPb = nullptr,
-                          *Pv = nullptr;
-  for (const bench::LoopRecord &R : solveRecords()) {
-    if (R.Name == "BM_PortfolioVsBest/0")
-      PvIlp = &R;
-    if (R.Name == "BM_PortfolioVsBest/1")
-      PvPb = &R;
-    if (R.Name == "BM_PortfolioVsBest/2")
-      Pv = &R;
-  }
-  if (PvIlp && PvPb && Pv) {
-    Json.addMetric("portfolio_vs_best_agree",
-                   PvIlp->Solved && PvPb->Solved && Pv->Solved &&
-                           PvIlp->II == Pv->II && PvPb->II == Pv->II &&
-                           PvIlp->Secondary == Pv->Secondary &&
-                           PvPb->Secondary == Pv->Secondary
-                       ? 1.0
-                       : 0.0);
-    double VirtualBest = std::min(PvIlp->Seconds, PvPb->Seconds);
-    if (Pv->Seconds > 0)
-      Json.addMetric("portfolio_vs_best_time_ratio",
-                     VirtualBest / Pv->Seconds);
   }
 
   Json.addRecordSet("last_solves", solveRecords());

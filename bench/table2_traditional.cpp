@@ -35,7 +35,7 @@ int main() {
     std::vector<LoopRecord> Records =
         runOptimal(M, Suite, Objs[O], DependenceStyle::Traditional, Config);
     printPaperTableBlock(Names[O], Records);
-    printPortfolioSummary(Names[O], Records);
+    printEngineTally(Names[O], Records);
     Json.addMetric(std::string("solved_") + toString(Objs[O]),
                    countSolved(Records));
     Json.addRecordSet(Names[O], std::move(Records));

@@ -344,11 +344,7 @@ int main(int Argc, char **Argv) {
                   static_cast<unsigned long long>(R.CacheRequestKey), R.II);
     for (const IiAttempt &A : R.Attempts) {
       std::printf("  II=%-3d %-10s", A.II, ilp::toString(A.Status));
-      if (!A.Winner.empty())
-        std::printf(" winner=%s", A.Winner.c_str());
-      if (A.BoundExchanges > 0)
-        std::printf(" bound-exchanges=%lld",
-                    static_cast<long long>(A.BoundExchanges));
+      std::printf(" engine=%s", A.Engine.c_str());
       if (A.Explain)
         std::printf(" [%s, %s] %s", sourceName(A.Explain->Source),
                     A.Explain->Verified ? "verified" : "UNVERIFIED",

@@ -2,7 +2,10 @@
 """Compare two bench_results directories and flag regressions.
 
 Pairs BENCH_*.json artifacts by filename (baseline dir vs candidate
-dir), matches records by (record-set label, loop name), and reports:
+dir), validates both with scripts/check_bench_json.py (an artifact the
+checker rejects, e.g. one of a stale schema, is refused and counts as a
+regression), matches records by (record-set label, loop name), and
+reports:
 
   * coverage regressions - loops the baseline solved that the candidate
     did not (status solved -> timeout/unsolved/node_limit);
@@ -11,23 +14,21 @@ dir), matches records by (record-set label, loop name), and reports:
     seconds exceed baseline seconds by more than --threshold (default
     20%), ignoring loops faster than --min-seconds in both runs (timer
     noise dominates below that) and loops served from the solution
-    cache in either run (cache_hit=true, schema 8: replay time
-    measures the cache, not the solver, so such pairs say nothing
-    about solver speed);
-  * cache-counter drift - the v8 top-level cache_counters snapshot is
-    diffed when it changed; an artifact lacking the block (schema < 8,
-    or a hand-trimmed file) is treated as all-zero counters rather than
-    crashing, and a candidate whose cache went cold (baseline served
-    hits, candidate served none with the cache still configured on) is
-    flagged as a regression;
+    cache in either run (cache_hit=true: replay time measures the
+    cache, not the solver, so such pairs say nothing about solver
+    speed);
+  * cache-counter drift - the top-level cache_counters snapshot is
+    diffed when it changed, and a candidate whose cache went cold
+    (baseline served hits, candidate served none with the cache still
+    configured on) is flagged as a regression;
   * artifacts present in only one directory (informational).
 
 Exits nonzero iff any coverage or solver-time regression was found, so
 CI can gate on it. Comparing a directory against itself is the CI smoke
 test: it must report nothing and exit 0. `--self-test` builds throwaway
-artifact pairs (with and without the cache_counters block) in a temp
-directory and checks the comparator's own behavior, exiting nonzero on
-any deviation.
+artifacts that pass the checker (and one of a stale schema that must be
+refused) in a temp directory and checks the comparator's own behavior,
+exiting nonzero on any deviation.
 
 Stdlib-only. Usage:
 
@@ -42,10 +43,17 @@ import os
 import sys
 import tempfile
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import check_bench_json  # noqa: E402
+
 CACHE_COUNTER_KEYS = ("hits", "misses", "inserts", "evictions")
 
 
-def load_doc(path):
+def load_checked(path):
+    """Loads an artifact the schema checker accepts; raises
+    check_bench_json.SchemaError (or OSError / JSONDecodeError) on any
+    other."""
+    check_bench_json.check_file(path)
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
@@ -60,29 +68,17 @@ def doc_records(doc):
     return records
 
 
-def cache_counters(doc):
-    """The v8 cache_counters block with missing block/keys as zeros.
-
-    Pre-v8 artifacts have no such block at all; indexing it directly
-    used to KeyError the whole comparison. Absence means "this run
-    recorded no cache activity", which zeros state exactly.
-    """
-    block = doc.get("cache_counters") or {}
-    return {key: int(block.get(key, 0)) for key in CACHE_COUNTER_KEYS}
-
-
 def compare_cache_counters(name, base_doc, cand_doc):
     """Returns (regressions, notes) for one artifact pair's counters."""
-    base = cache_counters(base_doc)
-    cand = cache_counters(cand_doc)
+    base = base_doc["cache_counters"]
+    cand = cand_doc["cache_counters"]
     regressions = []
     notes = []
     if base != cand:
         delta = ", ".join(f"{k} {base[k]} -> {cand[k]}"
                           for k in CACHE_COUNTER_KEYS if base[k] != cand[k])
         notes.append(f"{name} cache_counters: {delta}")
-    cand_cache_on = bool(cand_doc.get("config", {}).get("cache", False))
-    if base["hits"] > 0 and cand["hits"] == 0 and cand_cache_on:
+    if base["hits"] > 0 and cand["hits"] == 0 and cand_doc["config"]["cache"]:
         regressions.append(
             f"{name}: cache went cold (baseline served {base['hits']} "
             f"hit(s), candidate served none with cache on)")
@@ -91,8 +87,8 @@ def compare_cache_counters(name, base_doc, cand_doc):
 
 def compare_file(name, base_path, cand_path, threshold, min_seconds):
     """Returns (regressions, notes) line lists for one artifact pair."""
-    base_doc = load_doc(base_path)
-    cand_doc = load_doc(cand_path)
+    base_doc = load_checked(base_path)
+    cand_doc = load_checked(cand_path)
     base = doc_records(base_doc)
     cand = doc_records(cand_doc)
     regressions, notes = compare_cache_counters(name, base_doc, cand_doc)
@@ -115,8 +111,8 @@ def compare_file(name, base_path, cand_path, threshold, min_seconds):
         if not (b.get("solved") and c.get("solved")):
             continue
         if b.get("cache_hit") or c.get("cache_hit"):
-            # Cache-served records (schema 8) report replay time, not
-            # solver time; comparing them would grade the wrong thing.
+            # Cache-served records report replay time, not solver
+            # time; comparing them would grade the wrong thing.
             continue
         bs, cs = b.get("seconds", 0.0), c.get("seconds", 0.0)
         if bs < min_seconds and cs < min_seconds:
@@ -137,28 +133,46 @@ def bench_files(directory):
             if e.startswith("BENCH_") and e.endswith(".json")}
 
 
-def make_artifact(with_cache_counters, hits, solved=True, seconds=0.2,
-                  cache_on=True):
-    """A minimal artifact for the comparator self-test."""
-    doc = {
-        "schema_version": 8 if with_cache_counters else 7,
+def make_artifact(hits, solved=True, seconds=0.2, cache_on=True):
+    """A minimal artifact of the current schema for the self-test."""
+    return {
+        "schema_version": check_bench_json.SCHEMA_VERSION,
         "experiment": "selftest",
-        "config": {"cache": cache_on},
+        "generated_unix": 0,
+        "config": {"synthetic_loops": 1, "seed": 1,
+                   "time_limit_seconds": 1.0, "node_limit": 1000,
+                   "large_cap": 32, "warm_start": True, "jobs": 1,
+                   "backend": "auto", "explain": False, "cache": cache_on},
+        "metrics": {},
+        "cache_counters": {"hits": hits, "misses": 3, "inserts": 2,
+                           "evictions": 0},
         "record_sets": [{
             "label": "sweep",
             "records": [{
-                "name": "loop0",
-                "solved": solved,
+                "name": "loop0", "n": 4, "solved": solved,
+                "timed_out": not solved,
                 "status": "solved" if solved else "timeout",
-                "seconds": seconds,
-                "cache_hit": False,
+                "ii": 2, "mii": 2, "nodes": 0, "iterations": 0,
+                "warm_solves": 0, "cold_solves": 0, "warm_iterations": 0,
+                "variables": 8, "constraints": 9, "seconds": seconds,
+                "secondary": 0.0, "max_live": 3, "total_lifetime": 5,
+                "buffers": 3, "node_limit_hit": False,
+                "refactorizations": 0, "eta_nnz": 0, "pb_conflicts": 1,
+                "pb_propagations": 7, "explained_attempts": 0,
+                "unexplained_attempts": 0, "cache_hit": False,
+                "attempts": [{
+                    "ii": 2, "status": "optimal" if solved else "limit",
+                    "window_infeasible": False, "scheduled": solved,
+                    "cancelled": False, "nodes": 0, "iterations": 0,
+                    "pb_conflicts": 1, "variables": 8, "constraints": 9,
+                    "seconds": seconds, "witness": "none",
+                    "witness_source": "none", "witness_verified": False,
+                    "witness_detail": "", "proof": "", "gap": 0.0,
+                    "root_bound": 0.0, "trajectory": [], "engine": "pb",
+                }],
             }],
         }],
     }
-    if with_cache_counters:
-        doc["cache_counters"] = {"hits": hits, "misses": 3, "inserts": 2,
-                                 "evictions": 0}
-    return doc
 
 
 def self_test():
@@ -184,46 +198,52 @@ def self_test():
                 json.dump(doc, handle)
             return path
 
-        # 1. Baseline HAS the v8 block, candidate LACKS it entirely
-        #    (the historical KeyError): must compare cleanly, treating
-        #    the missing block as zeros -> "cache went cold" regression.
-        b = write(base_dir, make_artifact(True, hits=5))
-        c = write(cand_dir, make_artifact(False, hits=0))
-        regs, notes = compare_file("BENCH_selftest.json", b, c, 0.2, 0.05)
+        def compare(base, cand):
+            return compare_file("BENCH_selftest.json", base, cand, 0.2, 0.05)
+
+        # 1. The fabricated artifacts are valid, and identical ones
+        #    compare silently (the CI smoke invariant).
+        b = write(base_dir, make_artifact(hits=5))
+        regs, notes = compare(b, b)
+        expect(not regs and not notes, "self-comparison was not silent")
+
+        # 2. A candidate whose cache went cold is a regression; the
+        #    reverse direction is not.
+        c = write(cand_dir, make_artifact(hits=0))
+        regs, notes = compare(b, c)
         expect(any("cache went cold" in r for r in regs),
-               "missing candidate block not treated as zero hits")
+               "cold candidate cache not flagged")
         expect(any("cache_counters" in n for n in notes),
                "counter drift note missing")
-
-        # 2. The reverse direction (baseline pre-v8, candidate v8) and
-        #    the both-missing case must produce no cache regressions.
-        regs, _ = compare_file("BENCH_selftest.json", c, b, 0.2, 0.05)
+        regs, _ = compare(c, b)
         expect(not regs, f"reverse direction regressed: {regs}")
-        c2 = write(cand_dir, make_artifact(False, hits=0))
-        regs, notes = compare_file("BENCH_selftest.json", c, c2, 0.2, 0.05)
-        expect(not regs and not notes,
-               "both-missing pair was not silent")
 
         # 3. Zero hits with the cache configured OFF is not a
         #    regression (cache-off candidates never serve hits).
-        c3 = write(cand_dir, make_artifact(True, hits=0, cache_on=False))
-        regs, _ = compare_file("BENCH_selftest.json", b, c3, 0.2, 0.05)
+        c = write(cand_dir, make_artifact(hits=0, cache_on=False))
+        regs, _ = compare(b, c)
         expect(not any("cache went cold" in r for r in regs),
                "cache-off candidate flagged as gone-cold")
 
-        # 4. Identical artifacts: nothing at all (the CI smoke
-        #    invariant), and the existing solver-time/coverage checks
-        #    still fire through the new doc-loading path.
-        regs, notes = compare_file("BENCH_selftest.json", b, b, 0.2, 0.05)
-        expect(not regs and not notes, "self-comparison was not silent")
-        slow = write(cand_dir, make_artifact(True, hits=5, seconds=10.0))
-        regs, _ = compare_file("BENCH_selftest.json", b, slow, 0.2, 0.05)
+        # 4. Solver-time and coverage regressions fire.
+        slow = write(cand_dir, make_artifact(hits=5, seconds=10.0))
+        regs, _ = compare(b, slow)
         expect(any("solver-time regression" in r for r in regs),
                "solver-time regression not detected")
-        lost = write(cand_dir, make_artifact(True, hits=5, solved=False))
-        regs, _ = compare_file("BENCH_selftest.json", b, lost, 0.2, 0.05)
+        lost = write(cand_dir, make_artifact(hits=5, solved=False))
+        regs, _ = compare(b, lost)
         expect(any("coverage regression" in r for r in regs),
                "coverage regression not detected")
+
+        # 5. An artifact of a stale schema is refused, not diffed.
+        stale = make_artifact(hits=5)
+        stale["schema_version"] = check_bench_json.SCHEMA_VERSION - 1
+        stale_path = write(cand_dir, stale)
+        try:
+            compare(b, stale_path)
+            expect(False, "stale-schema artifact was compared")
+        except check_bench_json.SchemaError:
+            pass
 
     print(f"self-test: {'PASS' if failures == 0 else 'FAIL'} "
           f"({failures} failed expectation(s))")
@@ -267,8 +287,9 @@ def main(argv):
                 name, os.path.join(args.baseline, name),
                 os.path.join(args.candidate, name), args.threshold,
                 args.min_seconds)
-        except (OSError, json.JSONDecodeError) as err:
-            regressions.append(f"{name}: unreadable ({err})")
+        except (OSError, json.JSONDecodeError,
+                check_bench_json.SchemaError) as err:
+            regressions.append(f"{name}: refused ({err})")
             continue
         regressions.extend(file_regressions)
         notes.extend(file_notes)

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Validate bench_results/BENCH_*.json artifacts (schema_version 10).
+"""Validate bench_results/BENCH_*.json artifacts (schema_version 11).
 
 Only the current schema is accepted; bench/Harness.cpp's BenchJson is
 the one emitter. An artifact carries:
 
 * "config": the resolved suite and solver knobs (MODSCHED_BENCH_*),
-  including backend ("ilp", "pb" or "portfolio"), explain and cache;
+  including backend ("ilp", "pb" or "auto"), explain and cache;
 * "metrics": experiment-specific headline numbers;
 * "cache_counters": the ilpsched/cache.* hits / misses / inserts /
   evictions telemetry snapshot at write time;
@@ -15,12 +15,14 @@ the one emitter. An artifact carries:
   keys MUST come from the protocol's closed response-status set (ok,
   timeout, node_limit, unsolved, cancelled, error, retry_after);
 * "record_sets": labelled per-loop records with effort counters and
-  per-attempt forensics (witness / witness_source / proof / trajectory,
-  portfolio winner and bound exchanges). A cache_hit record must be
-  solved and report ZERO solver effort.
+  per-attempt forensics (witness / witness_source / proof / trajectory)
+  and the engine whose verdict each attempt committed. A cache_hit
+  record must be solved and report ZERO solver effort.
 
-Unknown status, backend, witness, proof and winner strings are
-rejected, catching drift between the emitter and consumers.
+Unknown status, backend, witness, proof and engine strings are
+rejected, catching drift between the emitter and consumers. The engine
+"ilp+pb" (a raced attempt that neither engine decided) never appears
+on a decided attempt.
 
 Stdlib-only. Usage:
 
@@ -34,7 +36,7 @@ import json
 import numbers
 import sys
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 CONFIG_KEYS = {
     "synthetic_loops": numbers.Integral,
@@ -128,8 +130,7 @@ ATTEMPT_KEYS = {
     "gap": numbers.Real,
     "root_bound": numbers.Real,
     "trajectory": list,
-    "winner": str,
-    "bound_exchanges": numbers.Integral,
+    "engine": str,
 }
 
 TRAJECTORY_KEYS = {
@@ -145,11 +146,11 @@ STATUSES = {"solved", "timeout", "unsolved", "node_limit"}
 # Per-attempt solver verdicts (ilp::toString(MipStatus)).
 ATTEMPT_STATUSES = {"optimal", "infeasible", "limit", "cancelled"}
 
-BACKENDS = {"ilp", "pb", "portfolio"}
+BACKENDS = {"ilp", "pb", "auto"}
 
-# Per-attempt committed engine under the portfolio backend; empty means
-# "no conclusive verdict" or a single-engine backend.
-WINNERS = {"", "ilp", "pb"}
+# The engine whose verdict an attempt committed ("ilp+pb": a raced
+# attempt that neither engine decided).
+ENGINES = {"ilp", "pb", "ilp+pb"}
 
 WITNESSES = {"cycle", "resource", "window", "none"}
 WITNESS_SOURCES = {"graph", "farkas", "core", "none"}
@@ -214,16 +215,17 @@ def check_record(record, where):
 def check_attempt(attempt, awhere):
     check_keys(attempt, ATTEMPT_KEYS, awhere)
     for key, allowed in (("status", ATTEMPT_STATUSES),
-                         ("winner", WINNERS),
+                         ("engine", ENGINES),
                          ("witness", WITNESSES),
                          ("witness_source", WITNESS_SOURCES),
                          ("proof", PROOFS)):
         if attempt[key] not in allowed:
             raise SchemaError(f"{awhere}.{key}: {attempt[key]!r} not in "
                               f"{sorted(allowed)}")
-    if attempt["winner"] and attempt["cancelled"]:
-        raise SchemaError(f"{awhere}: cancelled attempt claims "
-                          f"winner={attempt['winner']!r}")
+    if attempt["engine"] == "ilp+pb" and (attempt["scheduled"] or
+                                          attempt["status"] == "infeasible"):
+        raise SchemaError(f"{awhere}: a decided attempt names no single "
+                          f"engine")
     if attempt["witness"] != "none" and attempt["witness_source"] == "none":
         raise SchemaError(f"{awhere}: witness={attempt['witness']!r} but "
                           f"witness_source='none'")

@@ -416,25 +416,6 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
       }
       continue; // Cannot improve on the incumbent.
     }
-    if (Opts.ExternalBound) {
-      // Portfolio cutoff: another engine holds a solution with
-      // objective <= ExtK, so only strictly better subtrees matter —
-      // prune on it even before this solve has an incumbent of its own.
-      // The cell only tightens, so the last value used is the tightest.
-      int64_t ExtK = Opts.ExternalBound->load(std::memory_order_acquire);
-      if (ExtK != INT64_MAX && Bound >= double(ExtK) - 1e-9) {
-        Result.UsedExternalBound = true;
-        Result.ExternalBound = ExtK;
-        ++Result.PrunedNodes;
-        ++StatPruned;
-        if (Monitor.active()) {
-          BbEventInfo Info = MakeInfo(BbEvent::BoundPruned);
-          Info.LpObjective = Relax.Objective;
-          Monitor.notify(Info);
-        }
-        continue;
-      }
-    }
 
     int BranchVar =
         pickBranchVariable(M, Relax.Values, Opts.IntTol, Opts.Branching);

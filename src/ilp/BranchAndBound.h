@@ -23,7 +23,6 @@
 #include "lp/Model.h"
 #include "lp/Simplex.h"
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -91,8 +90,8 @@ struct BbEventInfo {
   bool Warm = false;
   /// IncumbentFound only: the accepted integral solution's variable
   /// values, valid for the duration of the callback (null otherwise).
-  /// Lets an observer decode and republish incumbents (portfolio
-  /// cross-engine bound exchange) without waiting for the solve to end.
+  /// Lets an observer decode incumbents without waiting for the solve to
+  /// end.
   const std::vector<double> *Values = nullptr;
 };
 
@@ -136,16 +135,6 @@ struct MipOptions {
   /// Optional search observer (tests / tracing / visualization). Null by
   /// default; the per-node cost when unset is a single bool test.
   BbObserver Observer;
-  /// Optional externally shared objective cutoff (portfolio races).
-  /// When set, the cell is polled at every node; any node whose rounded
-  /// LP bound reaches the cell's value is pruned even before this solve
-  /// holds an incumbent of its own. The cell must only tighten
-  /// (monotonically decrease) and must be a valid upper bound: some
-  /// solution with objective <= value exists elsewhere. Requires
-  /// IntegralObjective semantics: the cutoff k prunes Bound >= k,
-  /// keeping every strictly better solution reachable. INT64_MAX means
-  /// "no bound yet".
-  const std::atomic<int64_t> *ExternalBound = nullptr;
 };
 
 /// One point of a solve's incumbent/bound trajectory (recorded under
@@ -187,15 +176,6 @@ struct MipResult {
   /// True when the SolveContext's cancellation token stopped the search
   /// (Status == Cancelled).
   bool Cancelled = false;
-  /// True when at least one node was pruned against
-  /// MipOptions::ExternalBound. An Infeasible status with this flag set
-  /// means "no solution strictly better than ExternalBound", NOT that
-  /// the model itself is infeasible — the portfolio coordinator combines
-  /// it with the shared incumbent into an optimality verdict.
-  bool UsedExternalBound = false;
-  /// The tightest external cutoff observed while pruning (valid when
-  /// UsedExternalBound).
-  int64_t ExternalBound = 0;
 
   // --- Search telemetry (see docs/OBSERVABILITY.md) ---
   /// Deepest branching depth reached (root = 0).

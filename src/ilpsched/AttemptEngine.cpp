@@ -6,12 +6,18 @@
 #include "ilpsched/PbFormulation.h"
 #include "lp/SolveContext.h"
 #include "sched/Verifier.h"
+#include "support/Cancellation.h"
 #include "support/Telemetry.h"
 
 #include <cassert>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
+#include <thread>
 
 using namespace modsched;
 using namespace modsched::ilp;
@@ -117,16 +123,6 @@ bool IlpEngine::supports(const Problem &, int) const {
   return true; // The ILP formulation encodes every option combination.
 }
 
-bool IlpEngine::worthRacing(const Problem &P, int II) const {
-  // Tiny feasibility instance: the CDCL engine decides these orders of
-  // magnitude faster than a B&B warm-up (EXPERIMENTS.md E11), so the
-  // ILP sits out of the race and lets PB run inline. 0 disables.
-  if (P.options().Obj == Objective::None && Opts.PortfolioIlpMinPbVars > 0 &&
-      P.graph().numOperations() * II <= Opts.PortfolioIlpMinPbVars)
-    return false;
-  return true;
-}
-
 std::optional<ModuloSchedule>
 IlpEngine::solveAttempt(AttemptContext &C) const {
   assert(supports(C.P, C.II) && "seam dispatched an unsupported attempt");
@@ -136,7 +132,6 @@ IlpEngine::solveAttempt(AttemptContext &C) const {
   const int II = C.II;
   ScheduleResult &Stats = C.Stats;
   IiAttempt &Attempt = C.Attempt;
-  PortfolioEngineHooks *Hooks = C.Hooks;
 
   Formulation F(G, M, II, FOpts);
   Attempt.Variables = F.model().numVariables();
@@ -158,32 +153,10 @@ IlpEngine::solveAttempt(AttemptContext &C) const {
   MipOpts.WarmStart = Opts.WarmStart;
   MipOpts.CollectFarkas = Opts.Explain;
   MipOpts.CollectTrajectory = Opts.Explain;
-  if (Hooks) {
-    // Portfolio wiring: prune against the cross-engine incumbent cell,
-    // and publish every verified incumbent the moment it is accepted so
-    // the PB worker can tighten its own search mid-race.
-    MipOpts.ExternalBound = Hooks->ExternalBound;
-    if (Hooks->OnIncumbent)
-      MipOpts.Observer = [&](const BbEventInfo &Info) {
-        if (Info.Kind != BbEvent::IncumbentFound || !Info.Values)
-          return;
-        ModuloSchedule Inc = F.decode(*Info.Values);
-        if (std::optional<std::string> Err =
-                verifySchedule(G, M, Inc, F.maxTime())) {
-          std::fprintf(stderr,
-                       "fatal: ILP produced an invalid incumbent: %s\n",
-                       Err->c_str());
-          std::abort();
-        }
-        Hooks->OnIncumbent(int64_t(std::llround(Info.Incumbent)),
-                           std::move(Inc));
-      };
-  }
   MipSolver Solver(MipOpts);
 
-  // Solve under the caller's context (parallel race slots bring their
-  // own, wired to a cancellation source) or a fresh local one — the
-  // latter is exactly the historical sequential behavior.
+  // Solve under the caller's context (a raced engine brings its own,
+  // wired to the race's cancellation source) or a fresh local one.
   lp::SolveContext LocalCtx;
   MipResult R = Solver.solve(F.model(), C.Ctx ? *C.Ctx : LocalCtx);
   Stats.Nodes += R.Nodes;
@@ -196,12 +169,10 @@ IlpEngine::solveAttempt(AttemptContext &C) const {
   Attempt.Status = R.Status;
   Attempt.Nodes = R.Nodes;
   Attempt.SimplexIterations = R.SimplexIterations;
-  if (Hooks && R.UsedExternalBound)
-    ++Hooks->BoundExchanges;
 
   if (R.Status == MipStatus::Cancelled) {
-    // The caller's token stopped the search (e.g. a lower-II sibling in
-    // a parallel race won). No verdict about this II; in particular no
+    // The caller's token stopped the search (e.g. the other engine of a
+    // race concluded first). No verdict about this II; in particular no
     // half-decoded schedule ever escapes a cancelled solve.
     Attempt.Cancelled = true;
     return std::nullopt;
@@ -219,14 +190,6 @@ IlpEngine::solveAttempt(AttemptContext &C) const {
     return std::nullopt;
   }
   if (!R.HasSolution) {
-    if (Hooks && R.UsedExternalBound) {
-      // Pruning against the shared cell means only "no solution strictly
-      // better than the other engine's incumbent" was proved, not model
-      // infeasibility — the coordinator commits that incumbent as the
-      // optimum. No infeasibility witness applies.
-      Hooks->RefutedBelowExternal = true;
-      return std::nullopt;
-    }
     // Proved infeasible at this II. Map the node LPs' Farkas evidence
     // through the formulation's provenance table into a graph witness;
     // fall back to pure graph analysis when the search never ran an LP
@@ -247,21 +210,6 @@ IlpEngine::solveAttempt(AttemptContext &C) const {
     }
     return std::nullopt;
   }
-  if (Hooks && Hooks->ExternalBound && R.UsedExternalBound) {
-    // The search pruned subtrees against the other engine's incumbent
-    // cell, so exhausting the tree proved "nothing strictly better than
-    // min(own incumbent, shared cell)" — NOT that this solve's own
-    // incumbent is the optimum. When the cell is strictly better, the
-    // shared schedule wins: every prune used a cutoff no smaller than
-    // the cell's final value (it only tightens), so no pruned subtree
-    // can hide anything below it.
-    int64_t K = Hooks->ExternalBound->load(std::memory_order_acquire);
-    if (K != INT64_MAX && double(K) < R.Objective - 1e-9) {
-      Hooks->RefutedBelowExternal = true;
-      return std::nullopt;
-    }
-  }
-
   Stats.Variables = F.model().numVariables();
   Stats.Constraints = F.model().numConstraints();
   Stats.SecondaryObjective = R.Objective;
@@ -288,17 +236,6 @@ bool PbEngine::supports(const Problem &P, int) const {
   return PbFormulation::supports(P.options());
 }
 
-bool PbEngine::worthRacing(const Problem &P, int II) const {
-  // MinLife rows carry objective/lifetime coefficients that scale with
-  // II; past the width threshold the CDCL engine's cardinality
-  // reasoning degrades into slow generic PB arithmetic and it never
-  // wins the race — don't burn a worker on it.
-  if (P.options().Obj == Objective::MinLife &&
-      II > Opts.PortfolioPbCoeffLimit)
-    return false;
-  return true;
-}
-
 std::optional<ModuloSchedule>
 PbEngine::solveAttempt(AttemptContext &C) const {
   assert(supports(C.P, C.II) &&
@@ -309,10 +246,8 @@ PbEngine::solveAttempt(AttemptContext &C) const {
   const int II = C.II;
   ScheduleResult &Stats = C.Stats;
   IiAttempt &Attempt = C.Attempt;
-  PortfolioEngineHooks *Hooks = C.Hooks;
 
-  pb::AttemptSession *Session = Hooks ? Hooks->Session : nullptr;
-  PbFormulation F(G, M, II, FOpts, /*ExplainGroups=*/false, Session);
+  PbFormulation F(G, M, II, FOpts);
   Attempt.Variables = F.numVariables();
   Attempt.Constraints = F.numConstraints();
   const int Slack = FOpts.ScheduleLengthSlack;
@@ -323,8 +258,6 @@ PbEngine::solveAttempt(AttemptContext &C) const {
                         explainInfeasibleIi(G, M, II, Slack));
     return std::nullopt; // II infeasible within the window budget.
   }
-  if (Hooks && Hooks->PhaseHint)
-    F.seedPhases(*Hooks->PhaseHint);
 
   lp::SolveContext LocalCtx;
   lp::SolveContext &Ctx = C.Ctx ? *C.Ctx : LocalCtx;
@@ -333,20 +266,6 @@ PbEngine::solveAttempt(AttemptContext &C) const {
   pb::Solver &S = F.solver();
   S.DeadlineSeconds = Ctx.DeadlineSeconds;
   S.Cancel = Ctx.Cancel;
-
-  // Retire the session attempt (hardening its gate so learned clauses
-  // stay sound for the next II) and unhook the restart callback on
-  // every exit path — the persistent solver must never carry another
-  // attempt's wiring.
-  struct RetireOnExit {
-    pb::Solver &S;
-    pb::AttemptSession *Session;
-    ~RetireOnExit() {
-      S.OnRestart = nullptr;
-      if (Session && Session->attemptOpen())
-        Session->endAttempt();
-    }
-  } Retire{S, Session};
 
   // PB effort accounting on every exit path, mirroring PublishOnExit:
   // conflicts are the backend's "nodes" and feed the shared budget.
@@ -381,22 +300,6 @@ PbEngine::solveAttempt(AttemptContext &C) const {
   bool HaveIncumbent = false;
   int64_t BestObj = 0;
   ModuloSchedule Best;
-  // Cross-engine exchange: at every restart (the solver's root level)
-  // poll the shared cell and, when the other engine's incumbent beats
-  // everything seen here, inject "objective <= k - 1" so the descent
-  // skips straight past it. LastInjected tracks the tightest applied
-  // cutoff; an Unsat answer with one pending and no better incumbent of
-  // our own refutes "below k", not the model.
-  int64_t LastInjected = INT64_MAX;
-  if (Hooks && Hooks->ExternalBound && F.hasObjective())
-    S.OnRestart = [&] {
-      int64_t K = Hooks->ExternalBound->load(std::memory_order_acquire);
-      if (K >= LastInjected || (HaveIncumbent && K >= BestObj))
-        return;
-      LastInjected = K;
-      ++Hooks->BoundExchanges;
-      F.injectObjectiveBound(K - 1);
-    };
   for (;;) {
     if (BoundedNodes) {
       int64_t Left = ConflictsLeft();
@@ -423,8 +326,6 @@ PbEngine::solveAttempt(AttemptContext &C) const {
       Best = std::move(Sched);
       BestObj = F.evalObjective();
       HaveIncumbent = true;
-      if (Hooks && Hooks->OnIncumbent)
-        Hooks->OnIncumbent(BestObj, Best);
       if (!F.hasObjective())
         break; // Feasibility answer: done.
       if (!F.pushObjectiveBound(BestObj - 1))
@@ -432,16 +333,8 @@ PbEngine::solveAttempt(AttemptContext &C) const {
       continue;
     }
     if (R == pb::SolveStatus::Unsat) {
-      if (HaveIncumbent && LastInjected >= BestObj)
+      if (HaveIncumbent)
         break; // No better schedule exists: the incumbent is optimal.
-      if (LastInjected != INT64_MAX) {
-        // An injected cross-engine cutoff tighter than any incumbent of
-        // ours is what was refuted: the shared incumbent is the optimum
-        // and the coordinator commits it. Not an infeasible II.
-        Hooks->RefutedBelowExternal = true;
-        Attempt.Status = MipStatus::Infeasible;
-        return std::nullopt;
-      }
       Attempt.Status = MipStatus::Infeasible;
       if (Opts.Explain)
         attachExplanation(G, M, II, Slack, Attempt,
@@ -479,4 +372,158 @@ PbEngine::solveAttempt(AttemptContext &C) const {
     Attempt.Audit = std::move(A);
   }
   return Best;
+}
+
+//===----------------------------------------------------------------------===//
+// raceEngines
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One engine's side of a race: a private context and ledger, so the
+/// two engines share no mutable state while they run.
+struct Lane {
+  explicit Lane(const AttemptEngine &E) : E(E) {}
+  Lane(const Lane &) = delete; // Its engine thread holds its address.
+  Lane &operator=(const Lane &) = delete;
+
+  const AttemptEngine &E;
+  lp::SolveContext Ctx;
+  ScheduleResult Stats;
+  IiAttempt Attempt;
+  std::optional<ModuloSchedule> Schedule;
+};
+
+/// A verdict about the II: a verified optimum or an infeasibility proof.
+/// Budget expiry and cancellation decide nothing.
+bool conclusive(const IiAttempt &A) {
+  return !A.Cancelled && (A.Scheduled || A.Status == MipStatus::Infeasible);
+}
+
+/// Charges the work \p L did beyond the \p Seed* budget spend it started
+/// from to the loop ledger \p Into.
+void chargeEffort(ScheduleResult &Into, IiAttempt &Attempt, const Lane &L,
+                  int64_t SeedNodes, int64_t SeedConflicts) {
+  Into.Nodes += L.Stats.Nodes - SeedNodes;
+  Into.PbConflicts += L.Stats.PbConflicts - SeedConflicts;
+  Into.SimplexIterations += L.Stats.SimplexIterations;
+  Into.WarmLpSolves += L.Stats.WarmLpSolves;
+  Into.ColdLpSolves += L.Stats.ColdLpSolves;
+  Into.WarmLpIterations += L.Stats.WarmLpIterations;
+  Into.LpRefactorizations += L.Stats.LpRefactorizations;
+  Into.LpEtaNonzeros += L.Stats.LpEtaNonzeros;
+  Into.PbPropagations += L.Stats.PbPropagations;
+  Into.PbRestarts += L.Stats.PbRestarts;
+  Into.PbLearned += L.Stats.PbLearned;
+  Attempt.Nodes += L.Attempt.Nodes;
+  Attempt.SimplexIterations += L.Attempt.SimplexIterations;
+  Attempt.PbConflicts += L.Attempt.PbConflicts;
+  Attempt.PbPropagations += L.Attempt.PbPropagations;
+}
+
+} // namespace
+
+std::optional<ModuloSchedule> modsched::raceEngines(const IlpEngine &Ilp,
+                                                    const PbEngine &Pb,
+                                                    AttemptContext &C) {
+  assert(Ilp.supports(C.P, C.II) && Pb.supports(C.P, C.II) &&
+         "both racers must support the attempt");
+  lp::SolveContext LocalCtx;
+  const lp::SolveContext &Parent = C.Ctx ? *C.Ctx : LocalCtx;
+  // Each engine starts from the loop's budget spend so far, so the node
+  // budget grants each of them what is left.
+  const int64_t SeedNodes = C.Stats.Nodes;
+  const int64_t SeedConflicts = C.Stats.PbConflicts;
+  CancellationSource Stop;
+  Lane IlpLane(Ilp), PbLane(Pb);
+  for (Lane *L : {&IlpLane, &PbLane}) {
+    L->Ctx.DeadlineSeconds = Parent.DeadlineSeconds;
+    L->Ctx.Cancel = Stop.token();
+    L->Attempt.II = C.II;
+    L->Stats.Nodes = SeedNodes;
+    L->Stats.PbConflicts = SeedConflicts;
+  }
+
+  std::mutex Mu;
+  std::condition_variable Done;
+  int Running = 2;
+  const auto Run = [&](Lane &L) {
+    telemetry::ThreadShardScope Shard;
+    AttemptContext LC{C.P, C.II, L.Stats, C.TimeBudget, &L.Ctx, L.Attempt};
+    L.Schedule = L.E.solveAttempt(LC);
+    std::lock_guard<std::mutex> Lock(Mu);
+    --Running;
+    if (conclusive(L.Attempt))
+      Stop.cancel(); // First verdict wins; stop the other engine.
+    Done.notify_all();
+  };
+  {
+    // jthreads join on every exit from this scope, exceptions included.
+    std::jthread IlpThread(Run, std::ref(IlpLane));
+    std::jthread PbThread(Run, std::ref(PbLane));
+    // Tokens do not chain, so the caller's is polled here and forwarded.
+    std::unique_lock<std::mutex> Lock(Mu);
+    while (!Done.wait_for(Lock, std::chrono::milliseconds(1),
+                          [&] { return Running == 0; }))
+      if (Parent.cancelled())
+        Stop.cancel();
+  }
+
+  IiAttempt &Attempt = C.Attempt;
+  chargeEffort(C.Stats, Attempt, IlpLane, SeedNodes, SeedConflicts);
+  chargeEffort(C.Stats, Attempt, PbLane, SeedNodes, SeedConflicts);
+
+  const bool IlpDecided = conclusive(IlpLane.Attempt);
+  const bool PbDecided = conclusive(PbLane.Attempt);
+  if (IlpDecided && PbDecided) {
+    // Two independent exact answers must agree; a mismatch is an engine
+    // bug, never a result.
+    const bool Agree =
+        IlpLane.Schedule.has_value() == PbLane.Schedule.has_value() &&
+        (!IlpLane.Schedule ||
+         std::llround(IlpLane.Stats.SecondaryObjective) ==
+             std::llround(PbLane.Stats.SecondaryObjective));
+    if (!Agree) {
+      std::fprintf(stderr,
+                   "fatal: raced engines disagree at II=%d: "
+                   "ilp={scheduled=%d obj=%g} pb={scheduled=%d obj=%g}\n",
+                   C.II, IlpLane.Schedule ? 1 : 0,
+                   IlpLane.Stats.SecondaryObjective, PbLane.Schedule ? 1 : 0,
+                   PbLane.Stats.SecondaryObjective);
+      std::abort();
+    }
+  }
+  if (!IlpDecided && !PbDecided) {
+    // Neither engine decided the II: the caller cancelled the race, or
+    // both were censored by their budgets.
+    Attempt.Engine = "ilp+pb";
+    if (Parent.cancelled()) {
+      Attempt.Status = MipStatus::Cancelled;
+      Attempt.Cancelled = true;
+      return std::nullopt;
+    }
+    Attempt.Status = MipStatus::Limit;
+    for (Lane *L : {&IlpLane, &PbLane}) {
+      C.Stats.TimedOut |= L->Stats.TimedOut;
+      C.Stats.NodeLimitHit |= L->Stats.NodeLimitHit;
+    }
+    Attempt.Audit = std::move(IlpLane.Attempt.Audit); // Censored incumbent.
+    return std::nullopt;
+  }
+
+  Lane &W = IlpDecided ? IlpLane : PbLane;
+  Attempt.Engine = W.E.name();
+  Attempt.Status = W.Attempt.Status;
+  Attempt.Scheduled = W.Attempt.Scheduled;
+  Attempt.WindowInfeasible = W.Attempt.WindowInfeasible;
+  Attempt.Variables = W.Attempt.Variables;
+  Attempt.Constraints = W.Attempt.Constraints;
+  Attempt.Explain = std::move(W.Attempt.Explain);
+  Attempt.Audit = std::move(W.Attempt.Audit);
+  if (W.Schedule) {
+    C.Stats.Variables = W.Stats.Variables;
+    C.Stats.Constraints = W.Stats.Constraints;
+    C.Stats.SecondaryObjective = W.Stats.SecondaryObjective;
+  }
+  return std::move(W.Schedule);
 }

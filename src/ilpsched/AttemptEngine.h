@@ -8,17 +8,13 @@
 /// The engine seam: every exact backend that can decide one tentative II
 /// of a Problem implements AttemptEngine, and everything an attempt
 /// needs — the problem, the deterministic budget ledger, the deadline /
-/// cancellation context, the telemetry scope, and the portfolio wiring
-/// (shared-incumbent cell, persistent PB session, phase hints) — rides
-/// in one AttemptContext instead of being threaded ad hoc.
+/// cancellation context and the telemetry scope — rides in one
+/// AttemptContext instead of being threaded ad hoc.
 ///
-///   IlpEngine        LP-relaxation branch-and-bound (the default).
-///   PbEngine         conflict-driven pseudo-Boolean search.
-///   PortfolioEngine  a composition of REGISTERED engines (not a
-///                    hard-coded pair): it consults supports() /
-///                    worthRacing() per child, runs a lone contestant
-///                    inline, and races the rest with cross-engine
-///                    incumbent exchange (ilpsched/PortfolioAttempt.h).
+///   IlpEngine   LP-relaxation branch-and-bound (the default).
+///   PbEngine    conflict-driven pseudo-Boolean search.
+///   raceEngines both of them on one attempt, first conclusive verdict
+///               wins (SchedulerBackend::Auto's MinReg rule).
 ///
 /// Contract: a conclusive solveAttempt() yields the true optimum (or
 /// true infeasibility) at its II — engine choice never changes a
@@ -36,11 +32,8 @@
 #include "sched/Problem.h"
 
 #include <optional>
-#include <vector>
 
 namespace modsched {
-
-struct PortfolioState; // ilpsched/PortfolioAttempt.h
 
 /// Everything one solve attempt carries through the seam.
 struct AttemptContext {
@@ -59,13 +52,6 @@ struct AttemptContext {
   /// Telemetry scope: the attempt record this solve must fill
   /// truthfully on every exit path.
   IiAttempt &Attempt;
-  /// Portfolio wiring (shared-incumbent cell, incumbent publication,
-  /// persistent PB session, phase hints, refutation flags); null
-  /// outside a race. Engines ignore the fields they have no use for.
-  PortfolioEngineHooks *Hooks = nullptr;
-  /// Loop-level portfolio race state; non-null iff the PortfolioEngine
-  /// is (transitively) running this attempt.
-  PortfolioState *State = nullptr;
 };
 
 /// One exact engine capable of deciding "is there a schedule at this II,
@@ -74,24 +60,14 @@ class AttemptEngine {
 public:
   virtual ~AttemptEngine();
 
-  /// Stable printable name ("ilp", "pb", "portfolio"); used for
-  /// IiAttempt::Winner, counters, and bench records.
+  /// Stable printable name ("ilp", "pb"); used for IiAttempt::Engine and
+  /// bench records.
   virtual const char *name() const = 0;
 
   /// Hard capability: can this engine decide (\p P, \p II) at all?
   /// solveAttempt must never be invoked when this is false — the seam
   /// filters first, and engines assert it.
   virtual bool supports(const Problem &P, int II) const = 0;
-
-  /// Soft preference, consulted ONLY by the PortfolioEngine when
-  /// several supporting engines could contest an attempt: false means
-  /// "racing me here burns a worker" (e.g. PB on wide-coefficient
-  /// MinLife rows, ILP on tiny NoObj instances). Never affects the
-  /// single-engine backends — a capability this engine lacks belongs in
-  /// supports() instead.
-  virtual bool worthRacing(const Problem & /*P*/, int /*II*/) const {
-    return true;
-  }
 
   /// Decides one tentative II. Returns the verified optimal schedule,
   /// or nullopt on infeasibility / censoring / cancellation, with
@@ -107,7 +83,6 @@ public:
 
   const char *name() const override { return "ilp"; }
   bool supports(const Problem &P, int II) const override;
-  bool worthRacing(const Problem &P, int II) const override;
   std::optional<ModuloSchedule>
   solveAttempt(AttemptContext &C) const override;
 
@@ -122,7 +97,6 @@ public:
 
   const char *name() const override { return "pb"; }
   bool supports(const Problem &P, int II) const override;
-  bool worthRacing(const Problem &P, int II) const override;
   std::optional<ModuloSchedule>
   solveAttempt(AttemptContext &C) const override;
 
@@ -130,30 +104,15 @@ private:
   const SchedulerOptions &Opts;
 };
 
-/// Races the registered child engines per II attempt (see
-/// ilpsched/PortfolioAttempt.h for the coordination machinery). Child
-/// order is the commit preference: when several verdicts are
-/// conclusive, the earliest registered child's is committed, keeping
-/// race outcomes deterministic.
-class PortfolioEngine : public AttemptEngine {
-public:
-  PortfolioEngine(const SchedulerOptions &Opts,
-                  std::vector<const AttemptEngine *> Children)
-      : Opts(Opts), Children(std::move(Children)) {}
-
-  const char *name() const override { return "portfolio"; }
-  bool supports(const Problem &P, int II) const override;
-  std::optional<ModuloSchedule>
-  solveAttempt(AttemptContext &C) const override;
-
-  const std::vector<const AttemptEngine *> &children() const {
-    return Children;
-  }
-
-private:
-  const SchedulerOptions &Opts;
-  std::vector<const AttemptEngine *> Children;
-};
+/// Races \p Ilp and \p Pb on one attempt. Each engine runs on its own
+/// thread under a private SolveContext with the remaining budget; the
+/// first conclusive verdict cancels the other engine, and the caller's
+/// token (C.Ctx) stops both. When both conclude, the ILP verdict is
+/// committed and the two are cross-checked (abort on mismatch). Both
+/// engines' effort is charged to C.Stats and C.Attempt.
+std::optional<ModuloSchedule> raceEngines(const IlpEngine &Ilp,
+                                          const PbEngine &Pb,
+                                          AttemptContext &C);
 
 } // namespace modsched
 

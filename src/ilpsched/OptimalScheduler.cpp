@@ -3,22 +3,17 @@
 #include "ilpsched/OptimalScheduler.h"
 
 #include "ilpsched/AttemptEngine.h"
-#include "ilpsched/IiSearch.h"
 #include "ilpsched/PbFormulation.h"
-#include "ilpsched/PortfolioAttempt.h"
 #include "ilpsched/SolutionCache.h"
-#include "ilpsched/WorkerState.h"
 #include "lp/SolveContext.h"
 #include "sched/Mii.h"
 #include "sched/Verifier.h"
 #include "support/Telemetry.h"
 #include "support/Timer.h"
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <utility>
 
 using namespace modsched;
@@ -30,8 +25,8 @@ const char *modsched::toString(SchedulerBackend Backend) {
     return "ilp";
   case SchedulerBackend::Pb:
     return "pb";
-  case SchedulerBackend::Portfolio:
-    return "portfolio";
+  case SchedulerBackend::Auto:
+    return "auto";
   }
   return "unknown";
 }
@@ -45,11 +40,11 @@ SchedulerBackend modsched::defaultSchedulerBackend() {
       return SchedulerBackend::Ilp;
     if (std::strcmp(Env, "pb") == 0)
       return SchedulerBackend::Pb;
-    if (std::strcmp(Env, "portfolio") == 0)
-      return SchedulerBackend::Portfolio;
+    if (std::strcmp(Env, "auto") == 0)
+      return SchedulerBackend::Auto;
     std::fprintf(stderr,
                  "modsched: unrecognized MODSCHED_BACKEND='%s' "
-                 "(want ilp|pb|portfolio); keeping ilp\n",
+                 "(want ilp|pb|auto); keeping ilp\n",
                  Env);
     return SchedulerBackend::Ilp;
   }();
@@ -110,50 +105,52 @@ telemetry::Counter StatNodeLimits("ilpsched", "scheduler.node_limits",
 telemetry::PhaseTimer TimeSchedule("ilpsched", "scheduler.schedule",
                                    "End-to-end min-II search");
 
+/// Who decides one attempt.
+enum class Pick { Ilp, Pb, Race };
+
+/// The backend's engine for \p P. Auto is a fixed rule over the
+/// formulation options (EXPERIMENTS.md E13): PB wins NoObj and MinBuff
+/// outright, ILP wins MinLife, and only MinReg gains from engine
+/// diversity. The PB backend falls back to the ILP, warning once per
+/// Problem.
+Pick pickEngine(SchedulerBackend Backend, const Problem &P) {
+  const FormulationOptions &O = P.options();
+  switch (Backend) {
+  case SchedulerBackend::Ilp:
+    return Pick::Ilp;
+  case SchedulerBackend::Pb:
+    if (PbFormulation::supports(O))
+      return Pick::Pb;
+    if (P.claimPbFallbackWarning())
+      std::fprintf(stderr,
+                   "modsched: PB backend does not support this formulation "
+                   "(instance mapping, MinSL, or traditional objective "
+                   "style); falling back to ILP\n");
+    return Pick::Ilp;
+  case SchedulerBackend::Auto:
+    if (!PbFormulation::supports(O))
+      return Pick::Ilp;
+    if (O.Obj == Objective::None || O.Obj == Objective::MinBuff)
+      return Pick::Pb;
+    return O.Obj == Objective::MinReg ? Pick::Race : Pick::Ilp;
+  }
+  return Pick::Ilp;
+}
+
 } // namespace
 
 OptimalModuloScheduler::OptimalModuloScheduler(const MachineModel &M,
                                                SchedulerOptions Options)
     : M(M), Opts(std::move(Options)),
       IlpE(std::make_unique<IlpEngine>(Opts)),
-      PbE(std::make_unique<PbEngine>(Opts)),
-      // Registration order is the portfolio's commit preference: the ILP
-      // verdict wins when both engines conclude in one race (its audit
-      // evidence is richer), keeping outcomes deterministic.
-      PortfolioE(std::make_unique<PortfolioEngine>(
-          Opts, std::vector<const AttemptEngine *>{IlpE.get(), PbE.get()})) {}
+      PbE(std::make_unique<PbEngine>(Opts)) {}
 
 OptimalModuloScheduler::~OptimalModuloScheduler() = default;
-
-const AttemptEngine *
-OptimalModuloScheduler::selectEngine(const Problem &P, int II) const {
-  switch (Opts.Backend) {
-  case SchedulerBackend::Ilp:
-    break;
-  case SchedulerBackend::Pb:
-    if (PbE->supports(P, II))
-      return PbE.get();
-    // Unsupported formulation under the PB backend: decide it with the
-    // ILP instead of failing the loop, and say so once per Problem.
-    if (P.claimPbFallbackWarning())
-      std::fprintf(stderr,
-                   "modsched: PB backend does not support this formulation "
-                   "(instance mapping, MinSL, or traditional objective "
-                   "style); falling back to ILP\n");
-    break;
-  case SchedulerBackend::Portfolio:
-    return PortfolioE.get();
-  }
-  assert(IlpE->supports(P, II) &&
-         "the ILP engine is the total fallback and supports everything");
-  return IlpE.get();
-}
 
 std::optional<ModuloSchedule>
 OptimalModuloScheduler::scheduleAtIi(const Problem &P, int II,
                                      ScheduleResult &Stats, double TimeBudget,
-                                     lp::SolveContext *Ctx,
-                                     PortfolioState *Portfolio) const {
+                                     lp::SolveContext *Ctx) const {
   ++StatAttempts;
   Stopwatch AttemptWatch;
   telemetry::SpanScope Span("ilpsched", "scheduler.attempt", {{"ii", II}});
@@ -191,39 +188,35 @@ OptimalModuloScheduler::scheduleAtIi(const Problem &P, int II,
              {"witness_verified",
               int64_t(Attempt.Explain && Attempt.Explain->Verified ? 1
                                                                    : 0)},
-             {"winner",
-              Attempt.Winner.empty() ? "-" : Attempt.Winner.c_str()},
-             {"bound_exchanges", Attempt.BoundExchanges}});
+             {"engine", Attempt.Engine.c_str()}});
     }
   } Publish{Stats, Attempt, AttemptWatch};
 
-  const AttemptEngine *Engine = selectEngine(P, II);
-  assert(Engine && Engine->supports(P, II) &&
-         "selectEngine returned an engine that cannot decide this attempt");
-
+  AttemptContext C{P, II, Stats, TimeBudget, Ctx, Attempt};
   std::optional<ModuloSchedule> S;
-  if (Engine == PortfolioE.get() && !Portfolio) {
-    // Direct calls without loop-level race state still race the engines
-    // correctly; only cross-II solver reuse and phase hints are lost.
-    PortfolioState Transient;
-    AttemptContext C{P,   II,      Stats,   TimeBudget,
-                     Ctx, Attempt, nullptr, &Transient};
-    S = Engine->solveAttempt(C);
-  } else {
-    AttemptContext C{P,   II,      Stats,   TimeBudget,
-                     Ctx, Attempt, nullptr, Portfolio};
-    S = Engine->solveAttempt(C);
+  switch (pickEngine(Opts.Backend, P)) {
+  case Pick::Ilp:
+    Attempt.Engine = IlpE->name();
+    S = IlpE->solveAttempt(C);
+    break;
+  case Pick::Pb:
+    Attempt.Engine = PbE->name();
+    S = PbE->solveAttempt(C);
+    break;
+  case Pick::Race:
+    S = raceEngines(*IlpE, *PbE, C);
+    break;
   }
 
-  // Uniform gate: whatever engine (or race of engines) produced the
-  // schedule, it does not leave the seam unverified.
+  // Uniform gate: whatever engine produced the schedule, it does not
+  // leave the seam unverified.
   if (S)
     if (std::optional<std::string> Err =
             verifySchedule(P.graph(), P.machine(), *S)) {
       std::fprintf(stderr,
                    "fatal: engine '%s' emitted a schedule the verifier "
                    "rejects: %s\n",
-                   Engine->name(), Err->c_str());
+                   Attempt.Engine.c_str(), Err->c_str());
       std::abort();
     }
   return S;
@@ -232,23 +225,20 @@ OptimalModuloScheduler::scheduleAtIi(const Problem &P, int II,
 std::optional<ModuloSchedule>
 OptimalModuloScheduler::scheduleAtIi(const DependenceGraph &G, int II,
                                      ScheduleResult &Stats, double TimeBudget,
-                                     lp::SolveContext *Ctx,
-                                     PortfolioState *Portfolio) const {
+                                     lp::SolveContext *Ctx) const {
   Problem P(G, M, Opts.Formulation);
-  return scheduleAtIi(P, II, Stats, TimeBudget, Ctx, Portfolio);
+  return scheduleAtIi(P, II, Stats, TimeBudget, Ctx);
 }
 
 ScheduleResult
 OptimalModuloScheduler::schedule(const DependenceGraph &G,
-                                 SchedulerWorkerState *Worker) const {
+                                 lp::SolveContext *Ctx) const {
   ++StatLoops;
   telemetry::TimerScope Time(TimeSchedule,
                              {{"ops", int64_t(G.numOperations())}});
   Stopwatch Watch;
   ScheduleResult Result;
   Result.Mii = mii(G, M);
-  if (Worker)
-    Worker->beginLoop();
 
   Problem P(G, M, Opts.Formulation);
   const uint64_t RequestKey = SolutionCache::requestKey(Opts);
@@ -282,9 +272,33 @@ OptimalModuloScheduler::schedule(const DependenceGraph &G,
       return Result;
     }
 
-  std::unique_ptr<IiSearchStrategy> Search =
-      makeIiSearchStrategy(Opts.Search, Opts.SearchJobs);
-  Search->search(*this, P, Result, Worker);
+  // The paper's loop: one II at a time, MII upward, stop at the first
+  // feasible one or when a budget runs out.
+  Stopwatch Ladder;
+  for (int II = Result.Mii; II <= Result.Mii + Opts.MaxIiIncrease; ++II) {
+    double Remaining = Opts.TimeLimitSeconds - Ladder.seconds();
+    if (Remaining <= 0) {
+      Result.TimedOut = true;
+      break;
+    }
+    if (Result.budgetNodes() >= Opts.NodeLimit) {
+      Result.NodeLimitHit = true;
+      break;
+    }
+    std::optional<ModuloSchedule> S =
+        scheduleAtIi(P, II, Result, Remaining, Ctx);
+    // A cancelled attempt means the caller's token fired: every higher
+    // II would be cancelled too.
+    if (Result.TimedOut || Result.NodeLimitHit ||
+        Result.Attempts.back().Cancelled)
+      break;
+    if (S) {
+      Result.Found = true;
+      Result.II = II;
+      Result.Schedule = std::move(*S);
+      break;
+    }
+  }
 
   Result.Seconds = Watch.seconds();
   if (Opts.Cache)

@@ -22,9 +22,7 @@
 #include "sched/Explain.h"
 #include "sched/ModuloSchedule.h"
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -36,16 +34,8 @@ namespace lp {
 struct SolveContext; // lp/SolveContext.h
 } // namespace lp
 
-namespace pb {
-class AttemptSession; // pb/Incremental.h
-} // namespace pb
-
-struct PortfolioState;        // ilpsched/PortfolioAttempt.h
-struct SchedulerWorkerState;  // ilpsched/WorkerState.h
-class AttemptEngine;    // ilpsched/AttemptEngine.h
-class IlpEngine;        // ilpsched/AttemptEngine.h
-class PbEngine;         // ilpsched/AttemptEngine.h
-class PortfolioEngine;  // ilpsched/AttemptEngine.h
+class IlpEngine; // ilpsched/AttemptEngine.h
+class PbEngine;  // ilpsched/AttemptEngine.h
 
 /// Which exact engine decides each tentative II.
 enum class SchedulerBackend {
@@ -57,21 +47,18 @@ enum class SchedulerBackend {
   /// (with a one-time warning) for formulations the encoding does not
   /// support; see PbFormulation::supports.
   Pb,
-  /// Race both exact engines per II attempt on a two-worker pool: the
-  /// first conclusive verdict wins and cancels the loser, incumbent
-  /// objective bounds flow between the engines through a shared atomic
-  /// cell, and one persistent pb::AttemptSession carries CDCL state
-  /// across the loop's II ladder. Verdicts (II and objective) are
-  /// bit-exact vs Ilp regardless of race timing; see
-  /// ilpsched/PortfolioAttempt.h.
-  Portfolio,
+  /// A fixed rule over FormulationOptions (EXPERIMENTS.md E13): PB for
+  /// NoObj and MinBuff, a plain two-engine race for MinReg, and ILP for
+  /// MinLife, MinSL and every formulation PbFormulation::supports
+  /// rejects. Verdicts (II and objective) equal Ilp's.
+  Auto,
 };
 
-/// Printable name of \p Backend ("ilp" / "pb" / "portfolio").
+/// Printable name of \p Backend ("ilp" / "pb" / "auto").
 const char *toString(SchedulerBackend Backend);
 
 /// Backend selected by the MODSCHED_BACKEND environment variable
-/// ("ilp" | "pb" | "portfolio"; unset or unrecognized values keep Ilp,
+/// ("ilp" | "pb" | "auto"; unset or unrecognized values keep Ilp,
 /// the latter with a one-time warning). Read once and cached.
 SchedulerBackend defaultSchedulerBackend();
 
@@ -87,17 +74,11 @@ bool defaultExplainEnabled();
 /// once and cached.
 bool defaultCacheEnabled();
 
-/// How the min-II search walks the tentative IIs (see
-/// ilpsched/IiSearch.h for the strategy implementations).
+/// How the min-II search walks the tentative IIs. One enumerator: kept
+/// only because perfbench assigns SchedulerOptions::Search.
 enum class IiSearchKind {
-  /// One II at a time, MII upward — the paper's loop, and the default.
+  /// One II at a time, MII upward — the paper's loop.
   Sequential,
-  /// Race a window of consecutive IIs on a thread pool, commit the
-  /// lowest feasible one, cancel the rest. Same II and secondary
-  /// objective as Sequential (the winner depends only on II, never on
-  /// thread timing); wall-clock censoring differs, node censoring is
-  /// per-attempt.
-  ParallelRace,
 };
 
 /// Budgets and knobs for one scheduling run.
@@ -112,10 +93,9 @@ struct SchedulerOptions {
   /// paper used 15 minutes).
   double TimeLimitSeconds = 60.0;
   /// Per-loop branch-and-bound node budget (censoring alternative that
-  /// is deterministic across machines). Sequential search spends it
-  /// cumulatively across attempts; ParallelRace grants it to each
-  /// racing attempt independently (slots cannot see each other's node
-  /// spend without races) and re-checks the merged total between waves.
+  /// is deterministic across machines), spent cumulatively across
+  /// attempts. A raced attempt grants what is left to each engine and
+  /// charges the ledger with both engines' spend.
   int64_t NodeLimit = INT64_MAX;
   /// Stop trying IIs after MII + MaxIiIncrease.
   int MaxIiIncrease = 64;
@@ -128,11 +108,8 @@ struct SchedulerOptions {
   /// LP engine executing every node LP (forwarded to
   /// ilp::MipOptions::Lp.Engine); kept so callers that set it compile.
   lp::SimplexEngine LpEngine = lp::SimplexEngine::SparseRevised;
-  /// II search strategy.
+  /// II search strategy; kept only because perfbench assigns it.
   IiSearchKind Search = IiSearchKind::Sequential;
-  /// Worker threads for IiSearchKind::ParallelRace (also the II window
-  /// width of one race wave); ignored by Sequential. Clamped to >= 1.
-  int SearchJobs = 1;
   /// Solve forensics (docs/OBSERVABILITY.md "Explanations & audit
   /// records"): attach a re-verified graph-level Explanation to every
   /// infeasible II attempt and an OptimalityAudit to every solved one.
@@ -147,23 +124,6 @@ struct SchedulerOptions {
   /// through sched/Verifier before being reported. Off by default so
   /// benchmark effort numbers mean what they say.
   bool Cache = defaultCacheEnabled();
-
-  // --- Portfolio backend knobs (Backend == SchedulerBackend::Portfolio,
-  //     ignored otherwise; see ilpsched/PortfolioAttempt.h) ---
-  /// Reuse one persistent pb::AttemptSession across the loop's II
-  /// attempts (learned clauses / activity / phases carry over). Off =
-  /// a fresh PB solver per attempt; A/B knob for EXPERIMENTS.md E12.
-  bool PortfolioPersistentPb = true;
-  /// PB sits out MinLife attempts whose maximum objective coefficient
-  /// (which scales with II) exceeds this width — E11 measured the CDCL
-  /// engine losing badly on wide-coefficient MinLife rows. Counted in
-  /// portfolio/pb_ineligible.
-  int PortfolioPbCoeffLimit = 24;
-  /// ILP sits out NoObj attempts whose PB row-assignment encoding has at
-  /// most this many variables (ops * II): E11 measured the CDCL engine
-  /// deciding tiny feasibility instances 66x faster, so racing the ILP
-  /// only burns a worker. 0 disables the heuristic.
-  int PortfolioIlpMinPbVars = 64;
 };
 
 /// Optimality evidence for one solved II attempt (attached under
@@ -205,9 +165,8 @@ struct IiAttempt {
   bool WindowInfeasible = false;
   /// True when this attempt produced (and verified) a schedule.
   bool Scheduled = false;
-  /// True when the attempt's solve was cancelled (a lower-II sibling in
-  /// a parallel race won, or the caller's token fired). A cancelled
-  /// attempt is not a verdict about its II.
+  /// True when the attempt's solve was cancelled (the caller's token
+  /// fired). A cancelled attempt is not a verdict about its II.
   bool Cancelled = false;
   int64_t Nodes = 0;
   int64_t SimplexIterations = 0;
@@ -228,43 +187,10 @@ struct IiAttempt {
   /// With SchedulerOptions::Explain, on a scheduled verdict: the
   /// optimality evidence trail.
   std::optional<OptimalityAudit> Audit;
-  /// Portfolio backend only: the engine whose verdict was committed for
-  /// this II ("ilp" / "pb"; ILP fallbacks report "ilp"). Empty under the
-  /// single-engine backends.
-  std::string Winner;
-  /// Portfolio backend only: cross-engine incumbent bounds actually
-  /// applied during this attempt (PB rows injected at restarts + ILP
-  /// prunes against the shared cell).
-  int64_t BoundExchanges = 0;
-};
-
-/// Cross-engine wiring handed to one portfolio worker (see
-/// ilpsched/PortfolioAttempt.h for the coordinator that owns it). The
-/// single-engine paths pass null and behave exactly as before.
-struct PortfolioEngineHooks {
-  /// Shared objective-cutoff cell, polled at B&B nodes (ILP) and CDCL
-  /// restart boundaries (PB). INT64_MAX = no incumbent yet; the cell
-  /// only tightens.
-  const std::atomic<int64_t> *ExternalBound = nullptr;
-  /// Invoked with every verified incumbent (objective value, schedule)
-  /// the worker finds, so the coordinator can publish it to the other
-  /// engine. May be called from the worker's thread; must be
-  /// thread-safe. Null = no exchange (feasibility races).
-  std::function<void(int64_t, const ModuloSchedule &)> OnIncumbent;
-  /// PB worker only: persistent per-loop solver session. Null = fresh
-  /// solver per attempt (the A/B baseline).
-  pb::AttemptSession *Session = nullptr;
-  /// PB worker only: schedule times from an earlier attempt used to
-  /// seed branching phases (PbFormulation::seedPhases). Null = no hint.
-  const std::vector<int> *PhaseHint = nullptr;
-  /// Out: the worker only refuted "objective < ExternalBound", not the
-  /// model — the true verdict at this II is the shared incumbent, which
-  /// the coordinator commits as optimal.
-  bool RefutedBelowExternal = false;
-  /// Out: cross-engine bounds this worker actually applied (PB rows
-  /// injected at restarts; 1 for an ILP solve that pruned against the
-  /// cell).
-  int64_t BoundExchanges = 0;
+  /// The engine whose verdict was committed for this II: "ilp" or "pb"
+  /// (a PB-to-ILP fallback reports "ilp"), or "ilp+pb" when a raced
+  /// attempt ended with neither engine conclusive.
+  std::string Engine;
 };
 
 /// Result of scheduling one loop.
@@ -341,11 +267,10 @@ struct ScheduleResult {
   std::vector<IiAttempt> Attempts;
 };
 
-/// The optimal scheduler driver. Owns one instance of each registered
-/// AttemptEngine (ilpsched/AttemptEngine.h); scheduleAtIi is pure
-/// strategy selection — pick the engine the configured backend names,
-/// let supports() veto it, run the attempt, and re-verify the result
-/// through sched/Verifier as the uniform gate.
+/// The optimal modulo scheduler. Owns one instance of each exact engine
+/// (ilpsched/AttemptEngine.h); scheduleAtIi picks the engine (or the
+/// race) the configured backend names, runs the attempt, and re-verifies
+/// the result through sched/Verifier as the uniform gate.
 class OptimalModuloScheduler {
 public:
   OptimalModuloScheduler(const MachineModel &M, SchedulerOptions Options);
@@ -354,20 +279,17 @@ public:
   OptimalModuloScheduler &operator=(const OptimalModuloScheduler &) = delete;
 
   /// Schedules \p G for minimum II (and minimum secondary objective among
-  /// all min-II schedules) using the configured IiSearchKind. With
-  /// SchedulerOptions::Cache, consults the SolutionCache first and
-  /// inserts clean solves afterwards.
+  /// all min-II schedules): tries II = MII, MII+1, ... until one is
+  /// feasible or a budget runs out. With SchedulerOptions::Cache,
+  /// consults the SolutionCache first and inserts clean solves
+  /// afterwards.
   ///
-  /// \p Worker, when non-null, supplies persistent per-worker engine
-  /// state (ilpsched/WorkerState.h): the embedded SolveContext's
-  /// workspace (warm simplex bases) and, under the portfolio backend,
-  /// the gated PB session survive across calls. The caller owns the
-  /// context's deadline / cancellation (arm before, reset after); the
-  /// sequential II search threads the state through every attempt.
-  /// ParallelRaceIiSearch ignores it — racing slots need private
-  /// contexts, so cross-request reuse only applies to Sequential.
+  /// \p Ctx, when non-null, is the solve environment every attempt runs
+  /// under: its workspace (warm simplex bases) survives across calls,
+  /// and its deadline and cancellation token bound the whole search.
+  /// The caller owns the deadline and token (arm before, reset after).
   ScheduleResult schedule(const DependenceGraph &G,
-                          SchedulerWorkerState *Worker = nullptr) const;
+                          lp::SolveContext *Ctx = nullptr) const;
 
   /// Solves a single tentative \p II of \p P. Returns nullopt when the
   /// problem is infeasible at this II (or the attempt was censored /
@@ -376,15 +298,11 @@ public:
   /// token — for this attempt (lp/SolveContext.h); a fresh local
   /// context is used otherwise. Reentrant: concurrent calls on one
   /// scheduler are safe as long as each uses its own \p Stats and
-  /// \p Ctx. Under SchedulerBackend::Portfolio, \p Portfolio carries
-  /// the loop-level race state (persistent PB session, worker pool,
-  /// phase hints); a transient state is created when null, sacrificing
-  /// only cross-II reuse.
+  /// \p Ctx.
   std::optional<ModuloSchedule> scheduleAtIi(const Problem &P, int II,
                                              ScheduleResult &Stats,
                                              double TimeBudget,
-                                             lp::SolveContext *Ctx = nullptr,
-                                             PortfolioState *Portfolio =
+                                             lp::SolveContext *Ctx =
                                                  nullptr) const;
 
   /// Convenience overload wrapping \p G (with this scheduler's machine
@@ -394,23 +312,16 @@ public:
   std::optional<ModuloSchedule> scheduleAtIi(const DependenceGraph &G,
                                              int II, ScheduleResult &Stats,
                                              double TimeBudget,
-                                             lp::SolveContext *Ctx = nullptr,
-                                             PortfolioState *Portfolio =
+                                             lp::SolveContext *Ctx =
                                                  nullptr) const;
 
   const SchedulerOptions &options() const { return Opts; }
 
 private:
-  /// Backend dispatch: the engine that must decide (\p P, \p II) under
-  /// the configured SchedulerBackend, after supports() vetoes (the PB
-  /// backend falls back to the ILP engine, warning once per Problem).
-  const AttemptEngine *selectEngine(const Problem &P, int II) const;
-
   const MachineModel &M;
   SchedulerOptions Opts;
   std::unique_ptr<IlpEngine> IlpE;
   std::unique_ptr<PbEngine> PbE;
-  std::unique_ptr<PortfolioEngine> PortfolioE;
 };
 
 } // namespace modsched

@@ -40,20 +40,11 @@ bool PbFormulation::supports(const FormulationOptions &O) {
 
 PbFormulation::PbFormulation(const DependenceGraph &DG, const MachineModel &MM,
                              int TheII, const FormulationOptions &Options,
-                             bool WithExplainGroups,
-                             pb::AttemptSession *TheSession)
+                             bool WithExplainGroups)
     : G(DG), M(MM), II(TheII), Opts(Options),
-      ExplainGroups(WithExplainGroups), Session(TheSession),
-      S(TheSession ? TheSession->solver() : OwnSolver) {
+      ExplainGroups(WithExplainGroups) {
   assert(II >= 1 && "initiation interval must be positive");
   assert(supports(Opts) && "options not supported by the PB backend");
-  assert(!(Session && ExplainGroups) &&
-         "infeasibility forensics always use a fresh solver");
-  if (Session) {
-    assert(!Session->attemptOpen() && "previous attempt not retired");
-    VarBase = S.numVars();
-    ExportBase = S.exportRows().size();
-  }
 
   // Windows and budgets: identical to ilpsched/Formulation so both
   // backends decide the same feasible set per II.
@@ -74,11 +65,6 @@ PbFormulation::PbFormulation(const DependenceGraph &DG, const MachineModel &MM,
     if (Asap[Op] > Alap[Op])
       return; // Window empty: II infeasible within the budget.
   Valid = true;
-
-  // Shared mode: open this II's gated attempt. The caller retires it
-  // (Session->endAttempt()) once done with this formulation.
-  if (Session)
-    Session->beginAttempt();
 
   int N = G.numOperations();
 
@@ -115,33 +101,12 @@ PbFormulation::PbFormulation(const DependenceGraph &DG, const MachineModel &MM,
   }
   buildResource();
   buildObjective();
-  assert(Origins.size() == S.exportRows().size() - ExportBase &&
+  assert(Origins.size() == S.exportRows().size() &&
          "provenance side table out of sync with emitted rows");
-
-  // Shared mode: the attempt gate must be assumed false for the gated
-  // rows to bite.
-  if (Session)
-    Assumps.assign(1, Session->attemptAssumption());
 }
 
 void PbFormulation::noteRows(const RowOrigin &O) {
-  Origins.resize(S.exportRows().size() - ExportBase, O);
-}
-
-bool PbFormulation::structClause(std::vector<pb::Lit> Lits) {
-  return Session ? Session->addClause(std::move(Lits))
-                 : S.addClause(std::move(Lits));
-}
-
-bool PbFormulation::structAtLeast(std::vector<pb::Lit> Lits, int64_t Degree) {
-  return Session ? Session->addAtLeast(std::move(Lits), Degree)
-                 : S.addAtLeast(std::move(Lits), Degree);
-}
-
-bool PbFormulation::structLinear(std::vector<std::pair<pb::Lit, int64_t>> Terms,
-                                 int64_t Degree) {
-  return Session ? Session->addLinear(std::move(Terms), Degree)
-                 : S.addLinear(std::move(Terms), Degree);
+  Origins.resize(S.exportRows().size(), O);
 }
 
 void PbFormulation::beginGroup(const RowOrigin &O) {
@@ -170,8 +135,7 @@ PbFormulation::IntVar PbFormulation::makeIntVar(int Lo, int Hi) {
   // Order encoding: bit s implies bit s-1, so models are exactly the
   // unary encodings of Lo .. Hi.
   for (int B = 1; B < Hi - Lo; ++B)
-    structClause(
-        {pb::negLit(V.BitBase + B), pb::posLit(V.BitBase + B - 1)});
+    S.addClause({pb::negLit(V.BitBase + B), pb::posLit(V.BitBase + B - 1)});
   return V;
 }
 
@@ -211,7 +175,7 @@ void PbFormulation::addGe(LinExpr E, int64_t Rhs) {
     int64_t Weight = std::max<int64_t>(Degree - NegSum, 1);
     E.Terms.push_back({pb::posLit(GateVar), Weight});
   }
-  structLinear(std::move(E.Terms), Degree);
+  S.addLinear(std::move(E.Terms), Degree);
 }
 
 void PbFormulation::addLe(LinExpr E, int64_t Rhs) {
@@ -228,13 +192,13 @@ void PbFormulation::buildAssignment(pb::Var RowBase) {
   AtLeast.reserve(size_t(II));
   for (int Row = 0; Row < II; ++Row)
     AtLeast.push_back(pb::posLit(RowBase + Row));
-  structClause(std::move(AtLeast));
+  S.addClause(std::move(AtLeast));
   if (II > 1) {
     std::vector<pb::Lit> AtMost;
     AtMost.reserve(size_t(II));
     for (int Row = 0; Row < II; ++Row)
       AtMost.push_back(pb::negLit(RowBase + Row));
-    structAtLeast(std::move(AtMost), II - 1);
+    S.addAtLeast(std::move(AtMost), II - 1);
   }
 }
 
@@ -513,49 +477,10 @@ bool PbFormulation::pushObjectiveBound(int64_t Bound) {
   int64_t Degree = ObjConst - Bound;
   int64_t Weight = std::max<int64_t>(Degree + PosSum, 1);
   Terms.push_back({pb::posLit(Sel), Weight});
-  // Shared mode adds the attempt gate on top of the selector, so the
-  // row dies with the attempt AND deactivates when the descent moves on.
-  bool RowOk = structLinear(std::move(Terms), Degree);
+  bool RowOk = S.addLinear(std::move(Terms), Degree);
   noteRows(RowOrigin::objectiveLink());
-  if (Session)
-    Assumps.assign({Session->attemptAssumption(), pb::negLit(Sel)});
-  else
-    Assumps.assign(1, pb::negLit(Sel));
+  Assumps.assign(1, pb::negLit(Sel));
   return RowOk && S.okay();
-}
-
-bool PbFormulation::injectObjectiveBound(int64_t Bound) {
-  // "objective <= Bound" with no descent selector: the bound came from a
-  // verified incumbent elsewhere (the raced ILP engine), so it holds for
-  // the remainder of this attempt. Gated by the attempt gate alone in
-  // shared mode — active under the in-flight gate assumption, retired
-  // with the attempt — and fully ungated in fresh mode. Root level only.
-  assert(Valid && "cannot bound an invalid formulation");
-  std::vector<std::pair<pb::Lit, int64_t>> Terms;
-  Terms.reserve(ObjTerms.size());
-  for (const std::pair<pb::Lit, int64_t> &T : ObjTerms)
-    Terms.push_back({T.first, -T.second});
-  int64_t Degree = ObjConst - Bound;
-  bool RowOk = structLinear(std::move(Terms), Degree);
-  noteRows(RowOrigin::objectiveLink());
-  return RowOk && S.okay();
-}
-
-void PbFormulation::seedPhases(const std::vector<int> &Times) {
-  if (!Session || !Valid)
-    return;
-  assert(int(Times.size()) == G.numOperations() &&
-         "phase hint is one start time per operation");
-  for (int Op = 0; Op < G.numOperations(); ++Op) {
-    int Row = modPos(Times[size_t(Op)], II);
-    for (int R = 0; R < II; ++R)
-      Session->seedPhase(aVar(R, Op), R == Row);
-    const IntVar &K = KVars[size_t(Op)];
-    int Stage = std::min(std::max(floorDiv(Times[size_t(Op)], II), K.Lo),
-                         K.Hi);
-    for (int B = 0; B < K.numBits(); ++B)
-      Session->seedPhase(K.BitBase + B, B < Stage - K.Lo);
-  }
 }
 
 ModuloSchedule PbFormulation::decode() const {

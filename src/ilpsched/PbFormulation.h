@@ -50,7 +50,6 @@
 #include "graph/DependenceGraph.h"
 #include "ilpsched/Formulation.h"
 #include "machine/MachineModel.h"
-#include "pb/Incremental.h"
 #include "pb/PbSolver.h"
 #include "sched/ModuloSchedule.h"
 
@@ -71,17 +70,8 @@ public:
   /// solving under explainAssumptions() enforces all groups, and an
   /// Unsat answer's core names the groups that conflict — the raw
   /// material for graph-level infeasibility witnesses.
-  ///
-  /// With \p Session, the model is encoded into the session's persistent
-  /// solver as one gated attempt instead of a private solver: every
-  /// structural row carries the attempt gate, assumptions() includes the
-  /// gate assumption, and the caller retires the attempt (hardening the
-  /// gate) when done with this II — learned clauses and branching state
-  /// carry over to the next attempt. Mutually exclusive with
-  /// ExplainGroups (infeasibility forensics always use a fresh model).
   PbFormulation(const DependenceGraph &G, const MachineModel &M, int II,
-                const FormulationOptions &Opts, bool ExplainGroups = false,
-                pb::AttemptSession *Session = nullptr);
+                const FormulationOptions &Opts, bool ExplainGroups = false);
 
   /// True when \p Opts describes a formulation this backend can encode.
   static bool supports(const FormulationOptions &Opts);
@@ -95,13 +85,9 @@ public:
   int maxTime() const { return MaxTime; }
 
   /// Solver variables / original constraint rows (model-shape telemetry,
-  /// the PB analogue of lp::Model rows/columns). Relative to the
-  /// session's pre-existing content in shared mode, so the counts stay
-  /// comparable across backends.
-  int numVariables() const { return S.numVars() - VarBase; }
-  int numConstraints() const {
-    return int(S.exportRows().size() - ExportBase);
-  }
+  /// the PB analogue of lp::Model rows/columns).
+  int numVariables() const { return S.numVars(); }
+  int numConstraints() const { return int(S.exportRows().size()); }
 
   /// Constraint provenance: Origins[j] is the typed origin of export
   /// row j (same indexing as solver().exportRows()). Built
@@ -132,24 +118,8 @@ public:
   /// incumbent is optimal).
   bool pushObjectiveBound(int64_t Bound);
 
-  /// Adds an unconditional "objective <= Bound" row for this attempt —
-  /// no descent selector, gated only by the session's attempt gate (or
-  /// fully ungated in fresh mode). For externally discovered incumbents
-  /// (portfolio cross-engine exchange); must be called at the solver's
-  /// root level, i.e. from the pb::Solver::OnRestart hook or between
-  /// solves. Returns false when the solver became root-level
-  /// unsatisfiable (nothing beats the external incumbent).
-  bool injectObjectiveBound(int64_t Bound);
-
-  /// Seeds branching phases from a previous attempt's schedule times
-  /// (any II): each operation's row-assignment literals and stage bits
-  /// get the polarity the hint implies. Heuristic only — no effect on
-  /// the feasible set. No-op in fresh mode or on an invalid model.
-  void seedPhases(const std::vector<int> &Times);
-
-  /// Assumption literals for solve(): the session's attempt gate (shared
-  /// mode) plus the current objective-descent selector (after the first
-  /// pushObjectiveBound).
+  /// Assumption literals for solve(): the current objective-descent
+  /// selector (empty before the first pushObjectiveBound).
   const std::vector<pb::Lit> &assumptions() const { return Assumps; }
 
   /// Objective terms over literals plus constant (for OPB export).
@@ -176,15 +146,6 @@ private:
     std::vector<std::pair<pb::Lit, int64_t>> Terms;
     int64_t Constant = 0;
   };
-
-  /// Structural-row adds: gated through the attempt session in shared
-  /// mode, straight into the private solver in fresh mode (identical
-  /// call sequence to the pre-session code, keeping fresh-mode verdicts
-  /// and telemetry bit-exact).
-  bool structClause(std::vector<pb::Lit> Lits);
-  bool structAtLeast(std::vector<pb::Lit> Lits, int64_t Degree);
-  bool structLinear(std::vector<std::pair<pb::Lit, int64_t>> Terms,
-                    int64_t Degree);
 
   IntVar makeIntVar(int Lo, int Hi);
   int64_t intValue(const IntVar &V) const;
@@ -225,15 +186,7 @@ private:
   int MaxTime = 0;
   int StageCount = 0;
 
-  /// Shared-session mode: the persistent session owning the solver, or
-  /// null in fresh mode (OwnSolver is used). S aliases whichever solver
-  /// this formulation encodes into.
-  pb::AttemptSession *Session = nullptr;
-  pb::Solver OwnSolver;
-  pb::Solver &S;
-  /// Session content preceding this formulation (0 in fresh mode).
-  int VarBase = 0;
-  size_t ExportBase = 0;
+  pb::Solver S;
   pb::Var ABase = 0;
   std::vector<IntVar> KVars;
   std::vector<int> Asap, Alap;

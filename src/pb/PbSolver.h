@@ -51,7 +51,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -186,19 +185,6 @@ public:
   /// Cumulative effort counters.
   const SolverStats &stats() const { return Stats; }
 
-  /// Number of live learned clauses currently retained in the database
-  /// (post-reduction). Lets a portfolio coordinator report how much
-  /// learned state a persistent solver carries between attempts.
-  int numLearnts() const { return int(Learnts.size()); }
-
-  /// Seeds the phase-saving table: the next branch on \p V tries
-  /// \p Phase first. Used to carry polarity hints across attempts of a
-  /// persistent solver whose new variables have no saved phase yet.
-  void setPhase(Var V, bool Phase) {
-    assert(V >= 0 && size_t(V) < VarCount && "phase seed out of range");
-    SavedPhase[size_t(V)] = uint8_t(Phase);
-  }
-
   //===--------------------------------------------------------------------===//
   // Budgets (checked once per conflict/decision)
   //===--------------------------------------------------------------------===//
@@ -212,13 +198,6 @@ public:
 
   /// Cooperative cancellation, polled between decisions.
   CancellationToken Cancel;
-
-  /// Invoked at every Luby restart boundary, with the solver at decision
-  /// level zero and no conflict pending. The hook may add constraints
-  /// (addClause/addLinear) — this is the safe injection point for
-  /// externally discovered bounds in a portfolio race. Must not call
-  /// solve() reentrantly.
-  std::function<void()> OnRestart;
 
   //===--------------------------------------------------------------------===//
   // Export (original constraints, for OPB text I/O)

@@ -8,11 +8,10 @@
 /// Scheduling-as-a-service: a long-lived Server accepting streams of
 /// protocol frames (service/Protocol.h) over stdin/stdout batch mode or
 /// a Unix-domain socket, and dispatching solves onto a ThreadPool whose
-/// workers keep persistent engine state (ilpsched/WorkerState.h) —
-/// warm simplex workspaces and gated PB sessions survive across
-/// requests, and the process-wide SolutionCache (on by default here)
-/// turns repeated submissions of canonically equal loops into verified
-/// replays.
+/// workers keep a persistent lp::SolveContext each — warm simplex
+/// workspaces survive across requests, and the process-wide
+/// SolutionCache (on by default here) turns repeated submissions of
+/// canonically equal loops into verified replays.
 ///
 /// Admission control (docs/SERVICE.md): the queue of queued-plus-running
 /// requests is bounded; a full queue or a client exceeding its in-flight
@@ -47,15 +46,14 @@
 
 namespace modsched {
 
-class ThreadPool;            // support/ThreadPool.h
-struct SchedulerWorkerState; // ilpsched/WorkerState.h
+class ThreadPool; // support/ThreadPool.h
 
 namespace service {
 
 /// Server configuration; every knob has a MODSCHED_SERVICE_* override
 /// (see fromEnv and docs/SERVICE.md).
 struct ServerOptions {
-  /// Solver worker threads (one persistent SchedulerWorkerState each).
+  /// Solver worker threads (one persistent lp::SolveContext each).
   int Workers = 4;
   /// Queued-plus-running request bound; admission beyond it sheds.
   int QueueLimit = 64;
@@ -151,14 +149,14 @@ private:
   void admit(Request Req, const std::shared_ptr<Connection> &Conn);
 
   /// Runs one admitted request on a pool worker.
-  void runRequest(const Request &Req, SchedulerWorkerState &Worker,
+  void runRequest(const Request &Req, lp::SolveContext &Ctx,
                   const std::shared_ptr<Connection> &Conn,
                   const CancellationToken &Cancel);
 
-  /// Borrows / returns one persistent worker state. At most
+  /// Borrows / returns one persistent solve context. At most
   /// Opts.Workers borrows are outstanding (tasks only run on workers).
-  std::unique_ptr<SchedulerWorkerState> borrowWorkerState();
-  void returnWorkerState(std::unique_ptr<SchedulerWorkerState> State);
+  std::unique_ptr<lp::SolveContext> borrowContext();
+  void returnContext(std::unique_ptr<lp::SolveContext> Ctx);
 
   ServerOptions Opts;
   std::unique_ptr<ThreadPool> Pool;
@@ -166,7 +164,7 @@ private:
 
   mutable std::mutex Mu; ///< Guards everything below.
   std::condition_variable Idle;
-  std::vector<std::unique_ptr<SchedulerWorkerState>> FreeStates;
+  std::vector<std::unique_ptr<lp::SolveContext>> FreeContexts;
   int InFlight = 0; ///< Queued + running solve tasks.
   std::map<std::string, int> ClientInFlight;
   ServerStats Stat;

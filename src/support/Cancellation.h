@@ -8,8 +8,8 @@
 /// Cooperative cancellation for long-running solves. A CancellationSource
 /// owns a cancel flag; any number of CancellationToken copies observe it.
 /// The solver stack polls the token at its natural budget checkpoints
-/// (between branch-and-bound nodes, every 64 simplex pivots), so a racing
-/// sibling attempt — the speculative parallel II search — can stop a
+/// (between branch-and-bound nodes, every 64 simplex pivots), so the
+/// engine that wins a race — or a client that hangs up — can stop a
 /// solve that has become irrelevant within one node LP.
 ///
 /// Thread-safety: cancel() may be called from any thread, concurrently

@@ -130,20 +130,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BackendDifferentialTest,
                          ::testing::Range<uint64_t>(0, 25));
 
 //===----------------------------------------------------------------------===//
-// Portfolio-vs-ILP differential fuzz
+// Auto-vs-ILP differential fuzz
 //===----------------------------------------------------------------------===//
 
-class PortfolioDifferentialTest : public ::testing::TestWithParam<uint64_t> {
-};
+class AutoDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PortfolioDifferentialTest, PortfolioAndIlpAgree) {
-  // The portfolio backend races both exact engines per II with
-  // cross-engine bound sharing; its committed verdicts must stay
-  // bit-exact with the sequential ILP regardless of race timing. Two
-  // loops per seed x 10 seeds (the race time-slices on small hosts, so
-  // this leg stays lighter than the PB one above); loop 0 additionally
-  // runs the MinBuff descent so the incumbent-exchange path is fuzzed,
-  // not just feasibility.
+TEST_P(AutoDifferentialTest, AutoAndIlpAgree) {
+  // The auto backend routes each objective to one engine, or races both
+  // on MinReg; its committed verdicts must equal the sequential ILP's
+  // whatever the race timing. Two loops per seed x 10 seeds; loop 0
+  // additionally runs MinBuff (the PB route) and MinReg (the race).
   MachineModel M = MachineModel::cydraLike();
   Rng R(GetParam() * 197 + 3);
   SyntheticOptions Gen;
@@ -151,16 +147,19 @@ TEST_P(PortfolioDifferentialTest, PortfolioAndIlpAgree) {
   Gen.MaxOps = 10;
   for (int LoopIdx = 0; LoopIdx < 2; ++LoopIdx) {
     DependenceGraph G = generateLoop(M, R, Gen);
-    for (Objective Obj : {Objective::None, Objective::MinBuff}) {
-      if (Obj == Objective::MinBuff && LoopIdx != 0)
+    for (Objective Obj :
+         {Objective::None, Objective::MinBuff, Objective::MinReg}) {
+      if (Obj != Objective::None && LoopIdx != 0)
         continue;
-      SchedulerOptions IlpOpts, PortOpts;
+      SchedulerOptions IlpOpts, AutoOpts;
       IlpOpts.Backend = SchedulerBackend::Ilp;
-      PortOpts.Backend = SchedulerBackend::Portfolio;
-      IlpOpts.Formulation.Obj = PortOpts.Formulation.Obj = Obj;
-      IlpOpts.TimeLimitSeconds = PortOpts.TimeLimitSeconds = 20.0;
+      AutoOpts.Backend = SchedulerBackend::Auto;
+      IlpOpts.Formulation.Obj = AutoOpts.Formulation.Obj = Obj;
+      // A node budget censors the hard MinReg loops in milliseconds.
+      IlpOpts.NodeLimit = AutoOpts.NodeLimit = 50;
+      IlpOpts.TimeLimitSeconds = AutoOpts.TimeLimitSeconds = 20.0;
       ScheduleResult A = OptimalModuloScheduler(M, IlpOpts).schedule(G);
-      ScheduleResult B = OptimalModuloScheduler(M, PortOpts).schedule(G);
+      ScheduleResult B = OptimalModuloScheduler(M, AutoOpts).schedule(G);
       if (A.TimedOut || A.NodeLimitHit || B.TimedOut || B.NodeLimitHit)
         continue; // Censored solves prove nothing; skip, don't fail.
       ASSERT_EQ(A.Found, B.Found)
@@ -171,7 +170,7 @@ TEST_P(PortfolioDifferentialTest, PortfolioAndIlpAgree) {
           << toString(Obj) << " loop " << LoopIdx << "\n" << G.toString();
       EXPECT_NEAR(A.SecondaryObjective, B.SecondaryObjective, 1e-6)
           << toString(Obj) << " loop " << LoopIdx << "\n" << G.toString();
-      // The portfolio schedule passes both independent checkers.
+      // The auto schedule passes both independent checkers.
       EXPECT_FALSE(verifySchedule(G, M, B.Schedule).has_value())
           << G.toString();
       EXPECT_FALSE(simulateSchedule(G, M, B.Schedule,
@@ -182,5 +181,5 @@ TEST_P(PortfolioDifferentialTest, PortfolioAndIlpAgree) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PortfolioDifferentialTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, AutoDifferentialTest,
                          ::testing::Range<uint64_t>(0, 10));

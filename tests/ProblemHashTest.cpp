@@ -359,9 +359,9 @@ TEST(SolutionCacheTest, DifferentialPb) {
     cacheDifferential(SchedulerBackend::Pb, Seed);
 }
 
-TEST(SolutionCacheTest, DifferentialPortfolio) {
+TEST(SolutionCacheTest, DifferentialAuto) {
   for (uint64_t Seed : {2u, 3u, 7u})
-    cacheDifferential(SchedulerBackend::Portfolio, Seed);
+    cacheDifferential(SchedulerBackend::Auto, Seed);
 }
 
 TEST(SolutionCacheTest, EndToEndSecondRunHits) {
