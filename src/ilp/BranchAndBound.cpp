@@ -361,12 +361,17 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
 
     if (Relax.Status == LpStatus::IterationLimit) {
       // Cannot bound this subtree; give up on exactness. The LP reports
-      // the same status for a cancelled context, a deadline expiry, and
-      // a genuine pivot-budget exhaustion — the context disambiguates.
+      // the same status for a cancelled context, a deadline expiry, its
+      // pivot cap and a basis it could not refactorize. The last two
+      // repeat exactly on any machine, so they are charged to the
+      // deterministic effort budget, not to the clock.
       if (Ctx.cancelled())
         Result.Cancelled = true;
-      else
+      else if (Watch.seconds() > Opts.TimeLimitSeconds ||
+               Ctx.deadlineExpired())
         Result.HitTimeLimit = true;
+      else
+        Result.HitNodeLimit = true;
       Aborted = true;
       IsRoot = false;
       break;

@@ -166,12 +166,15 @@ struct MipResult {
   int64_t SimplexIterations = 0;
   /// Wall-clock seconds spent in solve().
   double Seconds = 0.0;
-  /// Why Status == Limit: the node budget was exhausted (distinct from
-  /// wall-clock expiry so censoring is attributed correctly; both can
-  /// be true when the checks trip in the same pass).
+  /// Why Status == Limit: deterministic effort censoring — the node
+  /// budget was exhausted, or a node LP gave up with the clock still
+  /// running (its pivot cap, MipOptions::Lp.MaxIterations, or a basis
+  /// it could not refactorize). Distinct from wall-clock expiry so
+  /// censoring is attributed correctly; both can be true when the
+  /// checks trip in the same pass.
   bool HitNodeLimit = false;
   /// Why Status == Limit: the wall-clock budget / context deadline
-  /// expired (also set when a node LP gave up on its pivot budget).
+  /// expired.
   bool HitTimeLimit = false;
   /// True when the SolveContext's cancellation token stopped the search
   /// (Status == Cancelled).

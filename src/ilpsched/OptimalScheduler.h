@@ -201,10 +201,13 @@ struct ScheduleResult {
   /// True when the per-loop wall-clock budget expired before a
   /// conclusion.
   bool TimedOut = false;
-  /// True when the per-loop node budget was exhausted before a
-  /// conclusion. Distinct from TimedOut so deterministic (node) and
-  /// machine-dependent (wall clock) censoring are attributed correctly;
-  /// both can be set when the two budgets trip together.
+  /// True when deterministic effort censoring stopped an attempt before
+  /// a conclusion: the per-loop node budget or the PB conflict budget
+  /// ran out, or a node LP gave up without the clock expiring (see
+  /// ilp::MipResult::HitNodeLimit). Distinct from TimedOut so
+  /// deterministic and machine-dependent (wall clock) censoring are
+  /// attributed correctly; both can be set when the two budgets trip
+  /// together.
   bool NodeLimitHit = false;
   ModuloSchedule Schedule;
   /// The achieved initiation interval (valid when Found).

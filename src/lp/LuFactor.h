@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Sparse LU factorization of a simplex basis, with product-form eta
-/// updates between refactorizations and hyper-sparse FTRAN/BTRAN.
+/// updates between refactorizations.
 ///
 /// The factorization is P·B·Q = L·U computed by left-looking
 /// Gilbert-Peierls elimination with threshold-Markowitz pivoting:
@@ -23,9 +23,12 @@
 ///
 /// Index spaces: FTRAN maps a vector indexed by *constraint row* (a
 /// column of A) to one indexed by *basis position*; BTRAN maps basis
-/// position to constraint row. Both solves walk only nonzero positions
-/// when the right-hand side is sparse (reachability over the L/U
-/// dependency graphs), falling back to a full permuted scan otherwise.
+/// position to constraint row. Each triangular solve is one pass over
+/// the elimination steps in dependency order, skipping steps whose value
+/// is exactly zero. There is no hyper-sparse (reachability-pruned) path:
+/// on the scheduling LPs the basis averages ~300 rows and an FTRAN
+/// result is about two thirds nonzeros, far above the ~10% density at
+/// which such pruning pays (Hall & McKinnon 2005; EXPERIMENTS.md E14).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -140,20 +143,9 @@ public:
   /// zero between solves), never reset by this class' methods except
   /// that they keep counting across factor() calls.
   uint64_t Ftrans = 0;
-  uint64_t SparseFtrans = 0;
   uint64_t Btrans = 0;
-  uint64_t SparseBtrans = 0;
 
 private:
-  /// True when nnz-many seeds are few enough to justify reachability.
-  bool useSparseSolve(int Nnz) const { return Nnz * 8 < Dim; }
-
-  /// Collects into Reach every step reachable from the marked seeds
-  /// through the CSC-ish graph (Start, Adj) where Adj maps a step's
-  /// entries to successor steps via \p ToStep (nullptr = identity).
-  void collectReach(const std::vector<int> &Start, const std::vector<int> &Adj,
-                    const std::vector<int> *ToStep);
-
   int Dim = 0;
   bool Valid = false;
   int Fill = 0;
@@ -186,11 +178,8 @@ private:
   std::vector<int> EtaStart, EtaIdx, EtaPos;
   std::vector<double> EtaVal, EtaPivot;
 
-  /// Scratch: DFS stack / reachable steps / visit stamps / permute
-  /// buffer, reused across solves to stay allocation-free.
-  std::vector<int> Stack, Reach;
-  std::vector<int> Mark;
-  int CurMark = 0;
+  /// Scratch: permute buffer, reused across solves to stay
+  /// allocation-free.
   std::vector<std::pair<int, double>> PermBuf;
   ScatteredVector Work;
   std::vector<int> RowCount;

@@ -16,7 +16,7 @@
 /// Implementation notes:
 ///  * One engine executes every solve: the sparse revised simplex of
 ///    lp/SparseRevisedSimplex.h (LU-factorized basis, eta updates,
-///    hyper-sparse FTRAN/BTRAN, partial pricing).
+///    partial pricing).
 ///  * Every constraint row gets a slack variable with bounds encoding the
 ///    sense (LE: [0, inf), GE: (-inf, 0], EQ: [0, 0]); the system becomes
 ///    Ax + Is = b.

@@ -1,14 +1,14 @@
 //===- lp/SparseRevisedSimplex.cpp - Sparse revised simplex ---------------===//
 //
 // Revised simplex over a compiled sparse matrix: LU-factorized basis
-// with product-form eta updates (lp/LuFactor), hyper-sparse
-// FTRAN/BTRAN, incremental reduced costs, and candidate-list partial
-// pricing escalating to Dantzig and then Bland's rule on degenerate
-// streaks. Cold solves run a two-phase primal; warm solves run the dual
-// simplex from an exported basis (Koberstein's "The dual simplex
-// method" for the dual ratio test with boxed variables). Ratio-test
-// ties break on (|alpha|, -index), independent of scatter order, so a
-// solve's pivot sequence is deterministic.
+// with product-form eta updates (lp/LuFactor), incremental reduced
+// costs, and candidate-list partial pricing escalating to Dantzig and
+// then Bland's rule on degenerate streaks. Cold solves run a two-phase
+// primal; warm solves run the dual simplex from an exported basis
+// (Koberstein's "The dual simplex method" for the dual ratio test with
+// boxed variables). Ratio-test ties break on (|alpha|, -index),
+// independent of scatter order, so a solve's pivot sequence is
+// deterministic.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,14 +36,8 @@ modsched::telemetry::Counter
                "product-form eta nonzeros appended to the basis");
 modsched::telemetry::Counter StatFtran("lp", "factor.ftran_solves",
                                        "FTRAN solves");
-modsched::telemetry::Counter
-    StatFtranSparse("lp", "factor.ftran_sparse",
-                    "FTRAN solves taking the hyper-sparse path");
 modsched::telemetry::Counter StatBtran("lp", "factor.btran_solves",
                                        "BTRAN solves");
-modsched::telemetry::Counter
-    StatBtranSparse("lp", "factor.btran_sparse",
-                    "BTRAN solves taking the hyper-sparse path");
 
 /// Reduced-cost sign tolerance for accepting a starting basis as
 /// dual-feasible (slightly looser than OptTol to absorb drift
@@ -343,7 +337,7 @@ void SparseRevisedSimplex::rebuildDj() {
 }
 
 void SparseRevisedSimplex::computeAlphaRow(int LeaveRow) {
-  // rho = B^-T e_r (hyper-sparse: the seed is a singleton)...
+  // rho = B^-T e_r...
   Rho.clear();
   Rho.set(LeaveRow, 1.0);
   Lu.btran(Rho);
@@ -656,7 +650,7 @@ LpStatus SparseRevisedSimplex::dualIterate() {
     if (LeaveRow < 0)
       return LpStatus::Optimal; // Primal feasible again.
 
-    // Dual ratio test over the (hyper-sparse) pivot row.
+    // Dual ratio test over the (sparse) pivot row.
     computeAlphaRow(LeaveRow);
     int Enter = -1;
     double BestRatio = infinity();
@@ -948,11 +942,7 @@ bool SparseRevisedSimplex::dualFeasible() const {
 
 void SparseRevisedSimplex::flushFactorStats() {
   StatFtran += static_cast<int64_t>(Lu.Ftrans - FtranMark);
-  StatFtranSparse += static_cast<int64_t>(Lu.SparseFtrans - SparseFtranMark);
   StatBtran += static_cast<int64_t>(Lu.Btrans - BtranMark);
-  StatBtranSparse += static_cast<int64_t>(Lu.SparseBtrans - SparseBtranMark);
   FtranMark = Lu.Ftrans;
-  SparseFtranMark = Lu.SparseFtrans;
   BtranMark = Lu.Btrans;
-  SparseBtranMark = Lu.SparseBtrans;
 }

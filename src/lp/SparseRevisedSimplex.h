@@ -22,9 +22,10 @@
 ///    of the full Dantzig scan (and a full-scan Bland mode after a run
 ///    of degenerate pivots, for termination).
 ///
-/// Per-pivot work is then proportional to the nonzeros actually touched
-/// — on the paper's 0-1-structured models, a small constant times the
-/// pivot column/row length.
+/// Per-pivot work is then one pass over the factor's elimination steps
+/// plus the nonzeros actually touched — on the paper's 0-1-structured
+/// models, whose FTRAN results are mostly dense, a small constant times
+/// the basis dimension.
 ///
 /// SimplexSolver drives one solve through initCold + run, or through
 /// tryInitWarm + runWarm for a warm start, then exports the verdict's
@@ -156,8 +157,7 @@ private:
   void rebuildDj();
 
   /// Computes AlphaRow = row \p LeaveRow of B^-1 A (all columns) from
-  /// one hyper-sparse BTRAN of the unit vector; Rho keeps the BTRAN
-  /// image for reuse.
+  /// one BTRAN of the unit vector; Rho keeps the BTRAN image for reuse.
   void computeAlphaRow(int LeaveRow);
 
   /// Shared pivot commitment: incremental Dj update from AlphaRow, the
@@ -259,8 +259,8 @@ private:
   /// Id of the exported basis this engine state realizes (0 = none).
   uint64_t CurrentStamp = 0;
   /// LuFactor tally marks for flushFactorStats deltas.
-  uint64_t FtranMark = 0, SparseFtranMark = 0;
-  uint64_t BtranMark = 0, SparseBtranMark = 0;
+  uint64_t FtranMark = 0;
+  uint64_t BtranMark = 0;
   Stopwatch Clock;
 };
 

@@ -1,13 +1,19 @@
-//===- tests/GoldenCountsTest.cpp - formulation size regression pins -------===//
+//===- tests/GoldenCountsTest.cpp - size and effort regression pins --------===//
 //
 // Pins the variable/constraint counts of every formulation variant to
 // first-principles formulas, so accidental changes to constraint
 // emission are caught immediately. Counts are "prior to any
 // simplifications", exactly what the paper's Tables 1-2 report.
 //
+// Also pins the ILP engine's deterministic effort (simplex iterations,
+// refactorizations, eta nonzeros, B&B nodes) over a node-budgeted
+// kernel sweep, so a kernel refactor that claims to preserve the
+// arithmetic has to prove it.
+//
 //===----------------------------------------------------------------------===//
 
 #include "ilpsched/Formulation.h"
+#include "ilpsched/OptimalScheduler.h"
 
 #include "sched/Mii.h"
 #include "workloads/KernelLibrary.h"
@@ -156,3 +162,77 @@ TEST_P(GoldenCounts, MinSl) {
 
 // Kernels 0..9 cover the original library (small to medium sizes).
 INSTANTIATE_TEST_SUITE_P(Kernels, GoldenCounts, ::testing::Range(0, 10));
+
+namespace {
+
+/// Effort and verdicts summed over the 18 kernels on example3.
+struct SweepTotals {
+  int64_t Iterations = 0;
+  int64_t Refactorizations = 0;
+  int64_t EtaNonzeros = 0;
+  int64_t Nodes = 0;
+  int Found = 0;
+  int NodeLimitHits = 0;
+  int IiSum = 0;
+  double ObjectiveSum = 0.0;
+};
+
+SweepTotals ilpSweep(Objective Obj) {
+  MachineModel M = MachineModel::example3();
+  SchedulerOptions Opts;
+  Opts.Formulation.Obj = Obj;
+  Opts.Formulation.DepStyle = DependenceStyle::Structured;
+  Opts.Backend = SchedulerBackend::Ilp;
+  Opts.NodeLimit = 300;
+  Opts.TimeLimitSeconds = 1e9; // Censored by nodes only.
+  Opts.Explain = false;
+  Opts.Cache = false;
+  OptimalModuloScheduler Sched(M, Opts);
+  SweepTotals T;
+  for (const DependenceGraph &G : allKernels(M)) {
+    ScheduleResult R = Sched.schedule(G);
+    EXPECT_FALSE(R.TimedOut) << G.name();
+    T.Iterations += R.SimplexIterations;
+    T.Refactorizations += R.LpRefactorizations;
+    T.EtaNonzeros += R.LpEtaNonzeros;
+    T.Nodes += R.Nodes;
+    T.Found += R.Found;
+    T.NodeLimitHits += R.NodeLimitHit;
+    if (R.Found) {
+      T.IiSum += R.II;
+      T.ObjectiveSum += R.SecondaryObjective;
+    }
+  }
+  return T;
+}
+
+} // namespace
+
+// Counter-exact gates: every pivot, refactorization and branching
+// decision of the LP/B&B stack is deterministic, so these sums are
+// bit-for-bit reproducible. A change to the LP kernels that keeps every
+// floating-point operation and its order (e.g. a faster triangular
+// solve) must leave them untouched. The pins may change only in a
+// change that means to alter the search and says so in CHANGES.md.
+TEST(EffortPins, IlpNoObjKernelSweep) {
+  SweepTotals T = ilpSweep(Objective::None);
+  EXPECT_EQ(T.Found, 18);
+  EXPECT_EQ(T.NodeLimitHits, 0);
+  EXPECT_EQ(T.IiSum, 69);
+  EXPECT_EQ(T.Iterations, 1072);
+  EXPECT_EQ(T.Refactorizations, 30);
+  EXPECT_EQ(T.EtaNonzeros, 59605);
+  EXPECT_EQ(T.Nodes, 45);
+}
+
+TEST(EffortPins, IlpMinBuffKernelSweep) {
+  SweepTotals T = ilpSweep(Objective::MinBuff);
+  EXPECT_EQ(T.Found, 18);
+  EXPECT_EQ(T.NodeLimitHits, 0);
+  EXPECT_EQ(T.IiSum, 69);
+  EXPECT_DOUBLE_EQ(T.ObjectiveSum, 158.0);
+  EXPECT_EQ(T.Iterations, 2108);
+  EXPECT_EQ(T.Refactorizations, 112);
+  EXPECT_EQ(T.EtaNonzeros, 224174);
+  EXPECT_EQ(T.Nodes, 138);
+}

@@ -116,6 +116,27 @@ TEST(Mip, NodeLimitReported) {
   EXPECT_EQ(R.Status, MipStatus::Limit);
 }
 
+TEST(Mip, PivotCapIsEffortCensoringNotTimeout) {
+  // The root LP needs two pivots (both x and y enter the basis); a cap
+  // of one stops it. That stop is deterministic, so it is reported as
+  // effort censoring with the clock unlimited.
+  Model M;
+  int X = M.addVariable("x", 0, 10, -1.0, VarKind::Integer);
+  int Y = M.addVariable("y", 0, 10, -1.0, VarKind::Integer);
+  M.addConstraint({{X, 2.0}, {Y, 3.0}}, ConstraintSense::LE, 12.0);
+  M.addConstraint({{X, 3.0}, {Y, 2.0}}, ConstraintSense::LE, 12.0);
+  for (int64_t Cap : {1, 2}) {
+    MipOptions Opts;
+    Opts.Lp.MaxIterations = Cap;
+    MipResult R = MipSolver(Opts).solve(M);
+    EXPECT_EQ(R.Status, MipStatus::Limit) << "cap " << Cap;
+    EXPECT_TRUE(R.HitNodeLimit) << "cap " << Cap;
+    EXPECT_FALSE(R.HitTimeLimit) << "cap " << Cap;
+    EXPECT_FALSE(R.Cancelled) << "cap " << Cap;
+    EXPECT_LE(R.SimplexIterations, Cap);
+  }
+}
+
 TEST(Mip, BranchRulesAgreeOnOptimum) {
   Model M;
   double Values[] = {6, 5, 4, 3, 7};

@@ -8,8 +8,9 @@
 // plus a closed duality gap, or a separating Farkas ray), and tampered
 // certificates must be rejected. Also unit-tests the sparse
 // linear-algebra substrate (SparseMatrix compilation caching, LU
-// factorization, eta updates, hyper-sparse FTRAN/BTRAN) and the
-// anti-cycling Bland fallback on Beale's cycling LP.
+// factorization, eta updates, FTRAN/BTRAN at scheduler-sized
+// dimensions) and the anti-cycling Bland fallback on Beale's cycling
+// LP.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -318,6 +320,150 @@ TEST(LuFactor, RejectsZeroPivotEta) {
   W.set(0, 1.0); // W[1] == 0: pivot for position 1 unacceptable.
   EXPECT_FALSE(Lu.update(1, W, 1e-10));
   EXPECT_EQ(Lu.etaCount(), 0); // Factorization left unchanged.
+}
+
+namespace {
+
+/// Explicit sparse basis for checking LU solves: column Pos holds the
+/// (constraint row, value) entries of basis position Pos.
+using ExplicitBasis = std::vector<std::vector<std::pair<int, double>>>;
+
+/// A random column of ~6 entries of +-1 with a nonzero at \p Home, or
+/// (one time in three) a signed unit slack column e_Home.
+std::vector<std::pair<int, double>> randomColumn(Rng &R, int Dim, int Home) {
+  std::vector<std::pair<int, double>> Col;
+  auto Sign = [&] { return R.nextBool(0.5) ? 1.0 : -1.0; };
+  Col.push_back({Home, Sign()});
+  if (R.nextBool(1.0 / 3.0))
+    return Col;
+  for (int K = 0; K < 5; ++K) {
+    const int Row = static_cast<int>(R.nextBelow(Dim));
+    bool Seen = false;
+    for (const auto &[Existing, V] : Col)
+      Seen |= Existing == Row;
+    if (!Seen)
+      Col.push_back({Row, Sign()});
+  }
+  return Col;
+}
+
+/// ||B x - b||_inf: \p X by basis position, \p B by constraint row.
+double ftranResidual(const ExplicitBasis &B, const ScatteredVector &X,
+                     const std::vector<double> &Rhs) {
+  std::vector<double> Bx(Rhs.size(), 0.0);
+  for (size_t Pos = 0; Pos < B.size(); ++Pos)
+    for (const auto &[Row, V] : B[Pos])
+      Bx[Row] += V * X.Val[Pos];
+  double Worst = 0.0;
+  for (size_t Row = 0; Row < Rhs.size(); ++Row)
+    Worst = std::max(Worst, std::abs(Bx[Row] - Rhs[Row]));
+  return Worst;
+}
+
+/// ||B^T y - c||_inf: \p Y by constraint row, \p C by basis position.
+double btranResidual(const ExplicitBasis &B, const ScatteredVector &Y,
+                     const std::vector<double> &C) {
+  double Worst = 0.0;
+  for (size_t Pos = 0; Pos < B.size(); ++Pos) {
+    double Dot = 0.0;
+    for (const auto &[Row, V] : B[Pos])
+      Dot += V * Y.Val[Row];
+    Worst = std::max(Worst, std::abs(Dot - C[Pos]));
+  }
+  return Worst;
+}
+
+} // namespace
+
+TEST(LuFactor, SchedulerSizedSolvesThroughEtaUpdates) {
+  // Bases of the dimensions the scheduling LPs produce (50-400 rows),
+  // factored and then updated through a full eta file (the default
+  // SimplexOptions::RefactorEtaLimit), checking every FTRAN and BTRAN
+  // against the explicitly assembled current basis, for a singleton
+  // and a dense right-hand side. Budgeted by counts only.
+  constexpr int EtaLimit = 64;
+  constexpr double Tol = 1e-9;
+  for (int Dim : {50, 137, 263, 400}) {
+    Rng R(0x5eed0000u + static_cast<uint64_t>(Dim));
+    // Each row is some column's home, so no row is empty.
+    std::vector<int> Home(Dim);
+    for (int I = 0; I < Dim; ++I)
+      Home[I] = I;
+    for (int I = Dim - 1; I > 0; --I)
+      std::swap(Home[I], Home[R.nextBelow(I + 1)]);
+    ExplicitBasis B(Dim);
+    std::vector<int> ColStart{0}, Rows;
+    std::vector<double> Vals;
+    for (int Pos = 0; Pos < Dim; ++Pos) {
+      B[Pos] = randomColumn(R, Dim, Home[Pos]);
+      for (const auto &[Row, V] : B[Pos]) {
+        Rows.push_back(Row);
+        Vals.push_back(V);
+      }
+      ColStart.push_back(static_cast<int>(Rows.size()));
+    }
+    LuFactor Lu;
+    ASSERT_TRUE(Lu.factor(Dim, ColStart, Rows, Vals, 1e-10))
+        << "singular basis drawn at Dim " << Dim;
+
+    ScatteredVector X;
+    X.resize(Dim);
+    std::vector<double> Rhs(Dim);
+    auto LoadRhs = [&] {
+      X.clear();
+      for (int I = 0; I < Dim; ++I)
+        if (Rhs[I] != 0.0)
+          X.set(I, Rhs[I]);
+    };
+    auto CheckSolves = [&](int Updates) {
+      for (bool Dense : {false, true}) {
+        std::fill(Rhs.begin(), Rhs.end(), 0.0);
+        if (Dense)
+          for (double &V : Rhs)
+            V = 2.0 * R.nextDouble() - 1.0;
+        else
+          Rhs[R.nextBelow(Dim)] = 1.0;
+        LoadRhs();
+        Lu.ftran(X);
+        EXPECT_LE(ftranResidual(B, X, Rhs), Tol)
+            << "FTRAN Dim " << Dim << " etas " << Updates << " dense "
+            << Dense;
+        LoadRhs();
+        Lu.btran(X);
+        EXPECT_LE(btranResidual(B, X, Rhs), Tol)
+            << "BTRAN Dim " << Dim << " etas " << Updates << " dense "
+            << Dense;
+      }
+    };
+
+    CheckSolves(0);
+    ScatteredVector W;
+    W.resize(Dim);
+    for (int U = 1; U <= EtaLimit; ++U) {
+      // Entering column a; W = B^-1 a. Leave at a position whose W
+      // entry is within a factor 2 of the largest, as a stable ratio
+      // test would.
+      std::vector<std::pair<int, double>> Enter =
+          randomColumn(R, Dim, static_cast<int>(R.nextBelow(Dim)));
+      W.clear();
+      for (const auto &[Row, V] : Enter)
+        W.set(Row, V);
+      Lu.ftran(W);
+      double MaxAbs = 0.0;
+      for (int Pos : W.Idx)
+        MaxAbs = std::max(MaxAbs, std::abs(W.Val[Pos]));
+      std::vector<int> Eligible;
+      for (int Pos : W.Idx)
+        if (std::abs(W.Val[Pos]) >= 0.5 * MaxAbs)
+          Eligible.push_back(Pos);
+      ASSERT_FALSE(Eligible.empty());
+      const int Leave = Eligible[R.nextBelow(Eligible.size())];
+      ASSERT_TRUE(Lu.update(Leave, W, 1e-10));
+      B[Leave] = Enter;
+      EXPECT_EQ(Lu.etaCount(), U);
+      CheckSolves(U);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
