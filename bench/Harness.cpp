@@ -19,6 +19,7 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
+#include <map>
 
 using namespace modsched;
 using namespace modsched::bench;
@@ -90,9 +91,6 @@ BenchConfig BenchConfig::fromEnv() {
     else
       Config.Seed = S;
   }
-  if (const char *E = std::getenv("MODSCHED_BENCH_WARMSTART"))
-    if (parseEnvInt("MODSCHED_BENCH_WARMSTART", E, 0, 1, V))
-      Config.WarmStart = V != 0;
   if (const char *E = std::getenv("MODSCHED_BENCH_JOBS"))
     if (parseEnvInt("MODSCHED_BENCH_JOBS", E, 1, 256, V))
       Config.Jobs = static_cast<int>(V);
@@ -185,7 +183,6 @@ bench::runOptimal(const MachineModel &M,
   Opts.Formulation.DepStyle = Dep;
   Opts.TimeLimitSeconds = Config.TimeLimitSeconds;
   Opts.NodeLimit = Config.NodeLimit;
-  Opts.WarmStart = Config.WarmStart;
   Opts.Backend = Config.Backend;
   Opts.Explain = Config.Explain;
   Opts.Cache = Config.Cache;
@@ -332,10 +329,6 @@ void bench::printPaperTableBlock(const std::string &SchedulerName,
 BenchJson::BenchJson(std::string Experiment)
     : Experiment(std::move(Experiment)) {}
 
-void BenchJson::setServiceSummary(ServiceSummary Summary) {
-  Service = std::move(Summary);
-}
-
 void BenchJson::addMetric(std::string Key, double Value) {
   Metrics.emplace_back(std::move(Key), Value);
 }
@@ -447,7 +440,7 @@ std::string BenchJson::write() const {
   std::string Out;
   json::JsonWriter W(Out);
   W.beginObject();
-  W.key("schema_version").value(11);
+  W.key("schema_version").value(12);
   W.key("experiment").value(Experiment);
   W.key("generated_unix")
       .value(static_cast<int64_t>(std::time(nullptr)));
@@ -457,7 +450,6 @@ std::string BenchJson::write() const {
   W.key("time_limit_seconds").value(Cfg.TimeLimitSeconds);
   W.key("node_limit").value(Cfg.NodeLimit);
   W.key("large_cap").value(Cfg.LargeCap);
-  W.key("warm_start").value(Cfg.WarmStart);
   W.key("jobs").value(Cfg.Jobs);
   W.key("backend").value(toString(Cfg.Backend));
   W.key("explain").value(Cfg.Explain);
@@ -473,27 +465,6 @@ std::string BenchJson::write() const {
     W.key(Name).value(C ? C->value() : int64_t(0));
   }
   W.endObject();
-  // Service-bench replay summary (optional): present only
-  // when the experiment drove the scheduling service (bench/
-  // service_bench). Status keys are the protocol's closed status set;
-  // the validator rejects anything else.
-  if (Service) {
-    W.key("service").beginObject();
-    W.key("requests").value(Service->Requests);
-    W.key("shed").value(Service->Shed);
-    W.key("errors").value(Service->Errors);
-    W.key("cache_hits").value(Service->CacheHits);
-    W.key("qps").value(Service->Qps);
-    W.key("p50_ms").value(Service->P50Ms);
-    W.key("p95_ms").value(Service->P95Ms);
-    W.key("p99_ms").value(Service->P99Ms);
-    W.key("cache_hit_rate").value(Service->CacheHitRate);
-    W.key("statuses").beginObject();
-    for (const auto &[Status, Count] : Service->Statuses)
-      W.key(Status).value(Count);
-    W.endObject();
-    W.endObject();
-  }
   W.key("metrics").beginObject();
   for (const auto &[Key, Value] : Metrics)
     W.key(Key).value(Value);

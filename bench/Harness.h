@@ -16,8 +16,6 @@
 ///   MODSCHED_BENCH_LOOPS      number of synthetic loops (default 110)
 ///   MODSCHED_BENCH_TIMELIMIT  per-loop seconds (default 2.0)
 ///   MODSCHED_BENCH_SEED       suite seed (default 20260705)
-///   MODSCHED_BENCH_WARMSTART  0 disables warm-started node LPs (default 1;
-///                             the knob behind warm-vs-cold A/B runs)
 ///   MODSCHED_BENCH_BACKEND    exact engine behind every attempt: "ilp"
 ///                             (LP-based branch-and-bound), "pb" (CDCL
 ///                             pseudo-Boolean), or "auto" (a fixed rule
@@ -60,8 +58,6 @@
 #include "ilpsched/OptimalScheduler.h"
 #include "machine/MachineModel.h"
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,9 +72,6 @@ struct BenchConfig {
   int64_t NodeLimit = 200000;
   /// Largest synthetic loop body.
   int LargeCap = 32;
-  /// Warm-start node LPs from the parent basis (SchedulerOptions::
-  /// WarmStart); MODSCHED_BENCH_WARMSTART=0 turns it off for A/B runs.
-  bool WarmStart = true;
   /// Exact engine behind every attempt (SchedulerOptions::Backend):
   /// ILP branch-and-bound, the CDCL pseudo-Boolean solver, or the auto
   /// rule picking one of them (or racing both on MinReg) per objective.
@@ -209,27 +202,6 @@ void printEngineTally(const std::string &Label,
 std::vector<int>
 commonlySolved(const std::vector<std::vector<LoopRecord>> &RecordSets);
 
-/// Closed-loop service benchmark summary (bench/service_bench): QPS,
-/// latency percentiles, cache behavior and admission-control outcomes
-/// of one request-replay phase, emitted as the optional top-level
-/// "service" object of the artifact. Status keys must come
-/// from the service protocol's closed status set ("ok", "timeout",
-/// "node_limit", "unsolved", "cancelled", "error", "retry_after") —
-/// scripts/check_bench_json.py rejects unknown strings.
-struct ServiceSummary {
-  std::int64_t Requests = 0;    ///< Requests submitted (incl. shed).
-  std::int64_t Shed = 0;        ///< retry_after replies.
-  std::int64_t Errors = 0;      ///< error replies.
-  std::int64_t CacheHits = 0;   ///< ok replies served from the cache.
-  double Qps = 0.0;             ///< Completed requests per second.
-  double P50Ms = 0.0;           ///< Median end-to-end latency.
-  double P95Ms = 0.0;
-  double P99Ms = 0.0;
-  double CacheHitRate = 0.0;    ///< CacheHits / ok replies (0 when none).
-  /// Response-status histogram over every reply received.
-  std::map<std::string, std::int64_t> Statuses;
-};
-
 /// Machine-readable result artifact for one experiment binary.
 ///
 /// Usage: construct with the experiment name, register the resolved
@@ -237,11 +209,11 @@ struct ServiceSummary {
 /// produced, and call write() before exiting. The artifact is
 ///   <dir>/BENCH_<experiment>.json
 /// with <dir> = $MODSCHED_BENCH_RESULTS_DIR or "bench_results" (created
-/// if missing). The schema (schema_version 11: config, headline
-/// metrics, cache counters, the optional "service" object and the
-/// per-loop record sets with their per-attempt forensics) is validated
-/// by scripts/check_bench_json.py, which accepts only the current
-/// version, and documented in docs/OBSERVABILITY.md.
+/// if missing). The schema (schema_version 12: config, headline
+/// metrics, cache counters and the per-loop record sets with their
+/// per-attempt forensics) is validated by scripts/check_bench_json.py,
+/// which accepts only the current version, and documented in
+/// docs/OBSERVABILITY.md.
 class BenchJson {
 public:
   explicit BenchJson(std::string Experiment);
@@ -252,10 +224,6 @@ public:
   /// Adds one experiment-specific headline number (coverage, ratios,
   /// ...). Keys should be snake_case.
   void addMetric(std::string Key, double Value);
-
-  /// Registers the service-bench replay summary, emitted as the
-  /// top-level "service" object (absent when never set).
-  void setServiceSummary(ServiceSummary Summary);
 
   /// Adds one labelled set of per-loop records (one per scheduler
   /// configuration, typically).
@@ -270,8 +238,6 @@ private:
   std::string Experiment;
   BenchConfig Cfg;
   std::vector<std::pair<std::string, double>> Metrics;
-  /// Set iff setServiceSummary was called (optional block).
-  std::optional<ServiceSummary> Service;
   struct RecordSet {
     std::string Label;
     std::vector<LoopRecord> Records;

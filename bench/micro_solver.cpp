@@ -216,67 +216,6 @@ BENCHMARK(BM_StageBoundTightening)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_MipWarmStart(benchmark::State &State) {
-  // A/B ablation of the warm-started dual simplex: identical search with
-  // node LPs either warm-started from the parent basis (Arg 1) or solved
-  // cold by the two-phase primal (Arg 0). The persistent workspace is
-  // active in both arms, so the delta isolates basis reuse. Results land
-  // in BENCH_micro_solver.json as BM_MipWarmStart/{0,1} records with the
-  // warm_solves / cold_solves / warm_iterations fields.
-  MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = benchLoop(M);
-  MipOptions Opts;
-  Opts.WarmStart = State.range(0) != 0;
-  MipResult Last;
-  for (auto _ : State) {
-    Last = solveLoop(M, G, Objective::MinReg, DependenceStyle::Structured,
-                     Opts);
-    benchmark::DoNotOptimize(Last.Objective);
-  }
-  State.counters["bb_nodes"] = static_cast<double>(Last.Nodes);
-  State.counters["simplex_iters"] =
-      static_cast<double>(Last.SimplexIterations);
-  State.counters["warm_lps"] = static_cast<double>(Last.WarmLpSolves);
-  recordSolve("BM_MipWarmStart/" + std::to_string(State.range(0)), G, Last);
-}
-BENCHMARK(BM_MipWarmStart)
-    ->Arg(0) // cold two-phase primal at every node
-    ->Arg(1) // warm dual simplex from the parent basis
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PbVsIlp(benchmark::State &State) {
-  // A/B smoke of the exact backends: the full II search on the fixed
-  // 12-op loop solved by LP-based branch-and-bound (Arg 0) or by the
-  // CDCL pseudo-Boolean engine (Arg 1), identical formulation options.
-  // Results land in BENCH_micro_solver.json as BM_PbVsIlp/{0,1} records;
-  // the PB arm reports pb_conflicts / pb_propagations and zero nodes,
-  // the ILP arm the reverse. The arms must agree on II and the MinBuff
-  // objective — the cheap always-on companion of tests/PbBackendTest.
-  MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = benchLoop(M);
-  SchedulerOptions Opts;
-  Opts.Formulation.Obj = Objective::MinBuff;
-  Opts.TimeLimitSeconds = 20.0;
-  Opts.Backend = State.range(0) != 0 ? SchedulerBackend::Pb
-                                     : SchedulerBackend::Ilp;
-  OptimalModuloScheduler Scheduler(M, Opts);
-  ScheduleResult Last;
-  for (auto _ : State) {
-    Last = Scheduler.schedule(G);
-    benchmark::DoNotOptimize(Last.II);
-  }
-  State.counters["ii"] = Last.II;
-  State.counters["bb_nodes"] = static_cast<double>(Last.Nodes);
-  State.counters["pb_conflicts"] = static_cast<double>(Last.PbConflicts);
-  bench::LoopRecord Rec = bench::LoopRecord::fromResult(G, Last);
-  Rec.Name = "BM_PbVsIlp/" + std::to_string(State.range(0));
-  upsertRecord(std::move(Rec));
-}
-BENCHMARK(BM_PbVsIlp)
-    ->Arg(0) // ILP branch-and-bound backend
-    ->Arg(1) // CDCL pseudo-Boolean backend
-    ->Unit(benchmark::kMillisecond);
-
 void BM_NodePresolve(benchmark::State &State) {
   // Ablation: bound propagation at every branch-and-bound node.
   MachineModel M = MachineModel::cydraLike();
@@ -352,50 +291,6 @@ int main(int argc, char **argv) {
   Config.TimeLimitSeconds = 20.0;
   bench::BenchJson Json("micro_solver");
   Json.setConfig(Config);
-
-  // Headline warm-vs-cold metrics from the BM_MipWarmStart A/B arms.
-  const bench::LoopRecord *Cold = nullptr, *Warm = nullptr;
-  for (const bench::LoopRecord &R : solveRecords()) {
-    if (R.Name == "BM_MipWarmStart/0")
-      Cold = &R;
-    if (R.Name == "BM_MipWarmStart/1")
-      Warm = &R;
-  }
-  if (Cold && Warm) {
-    if (Warm->SimplexIterations > 0)
-      Json.addMetric("warm_start_iteration_speedup",
-                     static_cast<double>(Cold->SimplexIterations) /
-                         static_cast<double>(Warm->SimplexIterations));
-    if (Warm->Seconds > 0)
-      Json.addMetric("warm_start_time_speedup",
-                     Cold->Seconds / Warm->Seconds);
-    int64_t WarmLps = Warm->WarmLpSolves + Warm->ColdLpSolves;
-    if (WarmLps > 0)
-      Json.addMetric("warm_start_lp_fraction",
-                     static_cast<double>(Warm->WarmLpSolves) /
-                         static_cast<double>(WarmLps));
-  }
-
-  // Headline PB-vs-ILP metrics from the BM_PbVsIlp A/B arms. The
-  // agreement metric is 1.0 iff both backends solved and returned the
-  // same II and MinBuff objective (the smoke counterpart of the test
-  // suite's differential).
-  const bench::LoopRecord *Ilp = nullptr, *Pb = nullptr;
-  for (const bench::LoopRecord &R : solveRecords()) {
-    if (R.Name == "BM_PbVsIlp/0")
-      Ilp = &R;
-    if (R.Name == "BM_PbVsIlp/1")
-      Pb = &R;
-  }
-  if (Ilp && Pb) {
-    Json.addMetric("pb_vs_ilp_agree",
-                   Ilp->Solved && Pb->Solved && Ilp->II == Pb->II &&
-                           Ilp->Secondary == Pb->Secondary
-                       ? 1.0
-                       : 0.0);
-    if (Pb->Seconds > 0)
-      Json.addMetric("pb_vs_ilp_time_ratio", Ilp->Seconds / Pb->Seconds);
-  }
 
   Json.addRecordSet("last_solves", solveRecords());
   Json.write();

@@ -141,7 +141,7 @@ def make_artifact(hits, solved=True, seconds=0.2, cache_on=True):
         "generated_unix": 0,
         "config": {"synthetic_loops": 1, "seed": 1,
                    "time_limit_seconds": 1.0, "node_limit": 1000,
-                   "large_cap": 32, "warm_start": True, "jobs": 1,
+                   "large_cap": 32, "jobs": 1,
                    "backend": "auto", "explain": False, "cache": cache_on},
         "metrics": {},
         "cache_counters": {"hits": hits, "misses": 3, "inserts": 2,

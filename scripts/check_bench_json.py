@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate bench_results/BENCH_*.json artifacts (schema_version 11).
+"""Validate bench_results/BENCH_*.json artifacts (schema_version 12).
 
 Only the current schema is accepted; bench/Harness.cpp's BenchJson is
 the one emitter. An artifact carries:
@@ -9,11 +9,6 @@ the one emitter. An artifact carries:
 * "metrics": experiment-specific headline numbers;
 * "cache_counters": the ilpsched/cache.* hits / misses / inserts /
   evictions telemetry snapshot at write time;
-* an optional "service" object (bench/service_bench's replay summary):
-  requests / shed / errors / cache_hits counters, qps, p50_ms / p95_ms /
-  p99_ms, a cache_hit_rate in [0, 1], and a "statuses" histogram whose
-  keys MUST come from the protocol's closed response-status set (ok,
-  timeout, node_limit, unsolved, cancelled, error, retry_after);
 * "record_sets": labelled per-loop records with effort counters and
   per-attempt forensics (witness / witness_source / proof / trajectory)
   and the engine whose verdict each attempt committed. A cache_hit
@@ -36,7 +31,7 @@ import json
 import numbers
 import sys
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 CONFIG_KEYS = {
     "synthetic_loops": numbers.Integral,
@@ -44,7 +39,6 @@ CONFIG_KEYS = {
     "time_limit_seconds": numbers.Real,
     "node_limit": numbers.Integral,
     "large_cap": numbers.Integral,
-    "warm_start": bool,
     "jobs": numbers.Integral,
     "backend": str,
     "explain": bool,
@@ -89,26 +83,6 @@ CACHE_COUNTER_KEYS = {
     "inserts": numbers.Integral,
     "evictions": numbers.Integral,
 }
-
-# Optional top-level "service" object: the scheduling-service replay
-# summary emitted by bench/service_bench.
-SERVICE_KEYS = {
-    "requests": numbers.Integral,
-    "shed": numbers.Integral,
-    "errors": numbers.Integral,
-    "cache_hits": numbers.Integral,
-    "qps": numbers.Real,
-    "p50_ms": numbers.Real,
-    "p95_ms": numbers.Real,
-    "p99_ms": numbers.Real,
-    "cache_hit_rate": numbers.Real,
-    "statuses": dict,
-}
-
-# The protocol's closed response-status set (service/Protocol.h and
-# docs/SERVICE.md). "statuses" histogram keys must come from here.
-SERVICE_STATUSES = {"ok", "timeout", "node_limit", "unsolved",
-                       "cancelled", "error", "retry_after"}
 
 ATTEMPT_KEYS = {
     "ii": numbers.Integral,
@@ -233,27 +207,6 @@ def check_attempt(attempt, awhere):
         check_keys(sample, TRAJECTORY_KEYS, f"{awhere}.trajectory[{t}]")
 
 
-def check_service(service):
-    check_keys(service, SERVICE_KEYS, "$.service")
-    for key in ("requests", "shed", "errors", "cache_hits"):
-        if service[key] < 0:
-            raise SchemaError(f"$.service.{key}: negative count "
-                              f"{service[key]}")
-    if not 0.0 <= service["cache_hit_rate"] <= 1.0:
-        raise SchemaError(f"$.service.cache_hit_rate: "
-                          f"{service['cache_hit_rate']} outside [0, 1]")
-    for status, count in service["statuses"].items():
-        swhere = f"$.service.statuses[{status!r}]"
-        if status not in SERVICE_STATUSES:
-            raise SchemaError(f"{swhere}: unknown status (want one of "
-                              f"{sorted(SERVICE_STATUSES)})")
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise SchemaError(f"{swhere}: expected integer, got "
-                              f"{type(count).__name__}")
-        if count < 0:
-            raise SchemaError(f"{swhere}: negative count {count}")
-
-
 def check_file(path):
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
@@ -277,8 +230,6 @@ def check_file(path):
                           f"{doc['config']['backend']!r} not in "
                           f"{sorted(BACKENDS)}")
     check_keys(doc["cache_counters"], CACHE_COUNTER_KEYS, "$.cache_counters")
-    if "service" in doc:
-        check_service(doc["service"])
     for key, value in doc["metrics"].items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise SchemaError(f"$.metrics[{key!r}]: expected number, got "

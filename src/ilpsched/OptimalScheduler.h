@@ -102,8 +102,8 @@ struct SchedulerOptions {
   /// Branch rule forwarded to the MIP solver.
   ilp::BranchRule Branching = ilp::BranchRule::MostFractional;
   /// Warm-start node LPs from the parent basis (forwarded to
-  /// ilp::MipOptions::WarmStart; ablation knob for the warm-vs-cold
-  /// benchmark A/B, see bench/micro_solver).
+  /// ilp::MipOptions::WarmStart; EXPERIMENTS.md E9 measured both
+  /// settings).
   bool WarmStart = true;
   /// LP engine executing every node LP (forwarded to
   /// ilp::MipOptions::Lp.Engine); kept so callers that set it compile.

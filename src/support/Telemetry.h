@@ -129,7 +129,9 @@ extern std::atomic<bool> StatsActive;
 double nowUs();
 /// True when the calling thread records stats into a thread-local shard
 /// (set by ThreadShardScope). Tested on every counter/timer fast path.
-extern thread_local bool ShardActive;
+/// constinit: without it GCC reads the extern TLS variable through an
+/// init wrapper, which UBSan reports as a null load.
+extern thread_local constinit bool ShardActive;
 /// Accumulate into the calling thread's shard (ShardActive threads
 /// only). \p Index is the registration index of the counter/timer.
 void shardAddCounter(uint32_t Index, int64_t N);

@@ -6,9 +6,10 @@
 // simplifications", exactly what the paper's Tables 1-2 report.
 //
 // Also pins the ILP engine's deterministic effort (simplex iterations,
-// refactorizations, eta nonzeros, B&B nodes) over a node-budgeted
-// kernel sweep, so a kernel refactor that claims to preserve the
-// arithmetic has to prove it.
+// refactorizations, eta nonzeros, B&B nodes, warm- and cold-started node
+// LPs) over a node-budgeted kernel sweep, so a kernel refactor that
+// claims to preserve the arithmetic has to prove it, and a search that
+// stops warm-starting node LPs from the parent basis fails here.
 //
 //===----------------------------------------------------------------------===//
 
@@ -171,6 +172,8 @@ struct SweepTotals {
   int64_t Refactorizations = 0;
   int64_t EtaNonzeros = 0;
   int64_t Nodes = 0;
+  int64_t WarmLpSolves = 0;
+  int64_t ColdLpSolves = 0;
   int Found = 0;
   int NodeLimitHits = 0;
   int IiSum = 0;
@@ -196,6 +199,8 @@ SweepTotals ilpSweep(Objective Obj) {
     T.Refactorizations += R.LpRefactorizations;
     T.EtaNonzeros += R.LpEtaNonzeros;
     T.Nodes += R.Nodes;
+    T.WarmLpSolves += R.WarmLpSolves;
+    T.ColdLpSolves += R.ColdLpSolves;
     T.Found += R.Found;
     T.NodeLimitHits += R.NodeLimitHit;
     if (R.Found) {
@@ -223,6 +228,8 @@ TEST(EffortPins, IlpNoObjKernelSweep) {
   EXPECT_EQ(T.Refactorizations, 30);
   EXPECT_EQ(T.EtaNonzeros, 59605);
   EXPECT_EQ(T.Nodes, 45);
+  EXPECT_EQ(T.WarmLpSolves, 45);
+  EXPECT_EQ(T.ColdLpSolves, 18);
 }
 
 TEST(EffortPins, IlpMinBuffKernelSweep) {
@@ -235,4 +242,6 @@ TEST(EffortPins, IlpMinBuffKernelSweep) {
   EXPECT_EQ(T.Refactorizations, 112);
   EXPECT_EQ(T.EtaNonzeros, 224174);
   EXPECT_EQ(T.Nodes, 138);
+  EXPECT_EQ(T.WarmLpSolves, 138);
+  EXPECT_EQ(T.ColdLpSolves, 18);
 }

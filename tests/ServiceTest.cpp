@@ -13,8 +13,8 @@
 //     hardening test).
 //   * End-to-end serveStream: solves over stdin/stdout-style streams,
 //     cache-served replay on resubmission, admission shedding when
-//     stopping, graceful drain on QUIT, and a daemon that keeps
-//     serving after a mid-request disconnect.
+//     stopping and when the queue is full, graceful drain on QUIT, and
+//     a daemon that keeps serving after a mid-request disconnect.
 //   * Unix-domain socket smoke: listen, accept, PING, shut down.
 //
 //===----------------------------------------------------------------------===//
@@ -31,6 +31,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -294,6 +295,68 @@ TEST(ServiceServer, ShedsWhenStopping) {
   EXPECT_FALSE(field(Lines[0], "retry_after_ms").empty());
   EXPECT_EQ(S.stats().Shed, 1);
   EXPECT_EQ(S.stats().Accepted, 0);
+}
+
+namespace {
+
+/// A stream buffer whose first write blocks until Released is set: a
+/// solve task writing its reply through it stays in flight, and holds
+/// its queue slot, for as long as the test needs. Synchronized by
+/// promises, so nothing depends on timing.
+struct BlockingBuf : std::streambuf {
+  std::promise<void> Entered, Released;
+  bool Blocked = false;
+  std::string Text;
+
+  int_type overflow(int_type C) override {
+    if (!Blocked) {
+      Blocked = true;
+      Entered.set_value();
+      Released.get_future().wait();
+    }
+    if (C != traits_type::eof())
+      Text.push_back(traits_type::to_char_type(C));
+    return traits_type::not_eof(C);
+  }
+};
+
+} // namespace
+
+TEST(ServiceServer, ShedsWhenQueueIsFull) {
+  ServerOptions O = quickOptions();
+  O.QueueLimit = 1;
+  // A second worker would run an admitted second request: without the
+  // queue bound it completes "ok" instead of hanging behind the first.
+  O.Workers = 2;
+  Server S(O);
+
+  // Client a's request takes the only queue slot and keeps it while its
+  // reply is blocked in the stream.
+  BlockingBuf BufA;
+  std::ostream OutA(&BufA);
+  std::thread ClientA([&S, &OutA] {
+    std::istringstream In(schedFrame("first") + "QUIT\n");
+    S.serveStream(In, OutA, "a");
+  });
+  BufA.Entered.get_future().wait();
+
+  // Client b is under its own in-flight cap, so only the full queue can
+  // shed its requests.
+  std::vector<std::string> Lines =
+      serve(S, schedFrame("b1") + schedFrame("b2") + "QUIT\n", "b");
+  BufA.Released.set_value();
+  ClientA.join();
+
+  ASSERT_EQ(Lines.size(), 2u);
+  for (const std::string &L : Lines) {
+    EXPECT_EQ(field(L, "status"), "retry_after") << L;
+    EXPECT_FALSE(field(L, "retry_after_ms").empty()) << L;
+  }
+  EXPECT_EQ(field(BufA.Text, "status"), "ok") << BufA.Text;
+  ServerStats Stats = S.stats();
+  EXPECT_EQ(Stats.Shed, static_cast<std::int64_t>(Lines.size()));
+  EXPECT_EQ(Stats.Accepted, 1);
+  EXPECT_EQ(Stats.Completed, 1);
 }
 
 TEST(ServiceServer, SurvivesMidRequestDisconnect) {
